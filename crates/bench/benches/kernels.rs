@@ -1,14 +1,14 @@
 //! Per-backend criterion microbenches of the dispatched compute kernels.
 //!
 //! Each hot primitive (the convolution GEMM at its real shapes, the planned
-//! range/Doppler FFT) is timed once per available kernel backend through the
-//! `*_with` entry points, so a single run reports the scalar/SIMD ratio on
-//! this host. `exp_kernels` is the scripted (JSON-emitting) counterpart used
-//! by the perf-smoke CI job.
+//! range/Doppler FFT, the band-pass biquad cascade at the cube's shape) is
+//! timed once per available kernel backend, so a single run reports the
+//! scalar/SIMD ratio on this host. `exp_kernels` is the scripted
+//! (JSON-emitting) counterpart used by the perf-smoke CI job.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mmhand_dsp::fft;
-use mmhand_kernels::Kernels;
+use mmhand_kernels::{BiquadCoeffs, Kernels};
 use mmhand_math::rng::{standard_normal, stream_rng};
 use mmhand_math::Complex;
 use mmhand_nn::Tensor;
@@ -66,6 +66,30 @@ fn bench_fft_backends(c: &mut Criterion) {
     }
 }
 
+fn bench_filter_backends(c: &mut Criterion) {
+    // The cube's shape: 4 biquad sections (the paper's 8th-order band-pass)
+    // over one virtual antenna's 16 chirps as 32 lanes of 64 samples.
+    let (lanes, rows) = (32usize, 64usize);
+    let coeffs: Vec<BiquadCoeffs> = (0..4)
+        .map(|s| {
+            let theta = 0.3 + 0.2 * s as f32;
+            BiquadCoeffs { b: [1.0, 0.0, -1.0], a: [-1.8 * theta.cos(), 0.81] }
+        })
+        .collect();
+    let mut rng = stream_rng(29, "kernels-bench-iir");
+    let x0: Vec<f32> = (0..lanes * rows).map(|_| standard_normal(&mut rng)).collect();
+    let mut x = x0.clone();
+    for kern in backends() {
+        c.bench_function(&format!("iir_cascade_lanes_4x32x64_{}", kern.name()), |b| {
+            b.iter(|| {
+                x.copy_from_slice(&x0);
+                kern.iir_cascade_lanes(&coeffs, 0.5, &mut x, lanes);
+                black_box(x[0])
+            })
+        });
+    }
+}
+
 fn bench_train_backends(c: &mut Criterion) {
     let mut rng = stream_rng(11, "kernels-bench-train");
     let n = 16_384;
@@ -116,6 +140,6 @@ fn bench_train_backends(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_gemm_backends, bench_fft_backends, bench_train_backends
+    targets = bench_gemm_backends, bench_fft_backends, bench_filter_backends, bench_train_backends
 }
 criterion_main!(benches);

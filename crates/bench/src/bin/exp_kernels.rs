@@ -1,7 +1,7 @@
 //! Scalar-vs-SIMD kernel microbenchmark with a machine-readable verdict.
 //!
-//! Times the dispatched GEMM and FFT kernels once per available backend via
-//! the `*_with` entry points and writes `BENCH_kernels.json` (into
+//! Times the dispatched GEMM, FFT, band-pass filter and training kernels
+//! once per available backend and writes `BENCH_kernels.json` (into
 //! `MMHAND_BENCH_DIR`, default `benchmarks/`) with per-kernel nanoseconds
 //! and the SIMD-over-scalar speedup ratios. The perf-smoke CI job runs it
 //! with gating flags:
@@ -14,7 +14,7 @@
 //! region calls straight into the kernel trait with pre-built inputs.
 
 use mmhand_dsp::fft;
-use mmhand_kernels::Kernels;
+use mmhand_kernels::{BiquadCoeffs, Kernels};
 use mmhand_math::rng::{standard_normal, stream_rng};
 use mmhand_math::Complex;
 use mmhand_nn::Tensor;
@@ -83,6 +83,27 @@ fn bench_fft(kern: &'static dyn Kernels, n: usize) -> f64 {
         buf.copy_from_slice(&sig);
         plan.forward_with(kern, &mut buf);
         std::hint::black_box(buf[0].re);
+    })
+}
+
+/// Times the lane-parallel biquad cascade at the cube's shape: the paper's
+/// 8th-order band-pass (4 sections) over one virtual antenna's 16 chirps,
+/// real and imaginary parts as 32 lanes of 64 samples.
+fn bench_iir_lanes(kern: &'static dyn Kernels, sections: usize, lanes: usize, rows: usize) -> f64 {
+    // Stable sections (pole radius 0.9) at spread pole angles.
+    let coeffs: Vec<BiquadCoeffs> = (0..sections)
+        .map(|s| {
+            let theta = 0.3 + 0.2 * s as f32;
+            BiquadCoeffs { b: [1.0, 0.0, -1.0], a: [-1.8 * theta.cos(), 0.81] }
+        })
+        .collect();
+    let mut rng = stream_rng(29, "exp-kernels-iir");
+    let x0: Vec<f32> = (0..lanes * rows).map(|_| standard_normal(&mut rng)).collect();
+    let mut x = x0.clone();
+    time_ns(|| {
+        x.copy_from_slice(&x0);
+        kern.iir_cascade_lanes(&coeffs, 0.5, &mut x, lanes);
+        std::hint::black_box(x[0]);
     })
 }
 
@@ -176,6 +197,12 @@ fn measure(simd: Option<&'static dyn Kernels>) -> Vec<KernelRow> {
             floor_frac: 1.0,
         });
     }
+    rows.push(KernelRow {
+        name: "iir_cascade_lanes_4x32x64",
+        scalar_ns: bench_iir_lanes(scalar, 4, 32, 64),
+        simd_ns: simd.map(|s| bench_iir_lanes(s, 4, 32, 64)),
+        floor_frac: 1.0,
+    });
     // Training-path kernels. The scalar Adam loop has a sequential
     // sqrt/divide chain the 8-wide lanes amortise, so it holds the full
     // floor; the pure streaming kernels (one add or one mask per element)

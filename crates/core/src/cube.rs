@@ -35,7 +35,7 @@ thread_local! {
     /// processing allocates nothing.
     static CUBE_POOL: mmhand_parallel::ScratchPool<Complex> =
         const { mmhand_parallel::ScratchPool::new("core.cube") };
-    /// Real-valued scratch for the band-pass filter's plane deinterleave.
+    /// Real-valued scratch: one virtual antenna's chirps as filter lanes.
     static CUBE_F32_POOL: mmhand_parallel::ScratchPool<f32> =
         const { mmhand_parallel::ScratchPool::new("core.cube.f32") };
 }
@@ -221,6 +221,11 @@ pub struct CubeBuilder {
     range_plan: Arc<FftPlan>,
     /// Doppler-FFT plan (`chirps_per_tx` points).
     doppler_plan: Arc<FftPlan>,
+    /// Hann window over one chirp (`samples_per_chirp` coefficients), so
+    /// the per-frame path scales by table instead of calling `cos`.
+    range_window: Vec<f32>,
+    /// Hann window over one TX's chirps (`chirps_per_tx` coefficients).
+    doppler_window: Vec<f32>,
     /// Azimuth zoom-DFT steering table over the ULA row.
     az_plan: Arc<ZoomPlan>,
     /// Elevation zoom-DFT steering table over the 2-element interferometer.
@@ -235,8 +240,8 @@ pub struct CubeBuilder {
 }
 
 impl CubeBuilder {
-    /// Creates a builder (designs the band-pass filter, FFT plans and
-    /// zoom-DFT steering tables once).
+    /// Creates a builder (designs the band-pass filter, FFT plans, window
+    /// tables and zoom-DFT steering tables once).
     ///
     /// # Errors
     ///
@@ -249,6 +254,8 @@ impl CubeBuilder {
         // bin counts are positive, so plan construction cannot panic here.
         let range_plan = plan(config.chirp.samples_per_chirp);
         let doppler_plan = plan(config.chirp.chirps_per_tx);
+        let range_window = Window::Hann.coefficients(config.chirp.samples_per_chirp);
+        let doppler_window = Window::Hann.coefficients(config.chirp.chirps_per_tx);
         let f_max = config.max_angle_rad.sin() * 0.5;
         let az_plan = zoom_plan(array.azimuth_row().len(), -f_max, f_max, config.azimuth_bins);
         let el_plan = zoom_plan(2, -f_max, f_max, config.elevation_bins);
@@ -265,6 +272,8 @@ impl CubeBuilder {
             bandpass,
             range_plan,
             doppler_plan,
+            range_window,
+            doppler_window,
             az_plan,
             el_plan,
             pairs,
@@ -296,11 +305,10 @@ impl CubeBuilder {
     /// geometry does not match the builder's configuration.
     ///
     /// All three stages fan out across the `mmhand-parallel` pool: stage 1
-    /// per virtual antenna (each task owns a private band-pass clone —
-    /// `filter_complex` resets its state per call, so a clone is
-    /// equivalent), stage 2 per virtual antenna, stage 3 per velocity bin.
-    /// Every output cell is written by exactly one task, so the cube is
-    /// identical at any thread count.
+    /// per virtual antenna (one band-pass call filters all of its chirps;
+    /// the shared filter keeps no state between calls), stage 2 per virtual
+    /// antenna, stage 3 per velocity bin. Every output cell is written by
+    /// exactly one task, so the cube is identical at any thread count.
     ///
     /// # Errors
     ///
@@ -324,12 +332,12 @@ impl CubeBuilder {
     /// The processing body; callers have already validated frame geometry.
     ///
     /// Every intermediate buffer — the `rd`/`vd` planes, the per-chirp FFT
-    /// buffer, the filter scratch and the angle spectra — checks out of the
+    /// buffer, the filter lanes and the angle spectra — checks out of the
     /// per-worker scratch pools, so a steady-state frame allocates only its
-    /// own output. Pooled checkouts come back zero-filled and the FFT plans
-    /// / steering tables replay the reference arithmetic exactly, so the
-    /// cube is bitwise identical to the allocating ancestor of this code at
-    /// any thread count.
+    /// own output. Pooled checkouts come back zero-filled, and the filter
+    /// lanes, window tables, FFT plans and steering tables replay the
+    /// reference arithmetic exactly, so the cube is bitwise identical to the
+    /// allocating ancestor of this code at any thread count.
     fn process_frame_validated(&self, frame: &RawFrame) -> CubeFrame {
         let cfg = &self.config;
         let n_va = cfg.chirp.virtual_antenna_count();
@@ -351,18 +359,30 @@ impl CubeBuilder {
                 // rd[va][chirp][d]
                 mmhand_parallel::par_chunks_mut(rd, chirps * d_bins, |va, rd_va| {
                     let (tx, rx) = self.pairs[va];
-                    let mut bandpass = self.bandpass.clone();
-                    CUBE_POOL.with(|wp| {
-                        wp.with(samples, |buf| {
-                            CUBE_F32_POOL.with(|fp| {
-                                fp.with(2 * samples, |scratch| {
+                    // Lanes 2c and 2c + 1 hold the real and imaginary parts
+                    // of chirp c: lanes[t·2C + 2c] is the real part of its
+                    // sample t.
+                    let n_lanes = 2 * chirps;
+                    CUBE_F32_POOL.with(|fp| {
+                        fp.with(n_lanes * samples, |lanes| {
+                            for chirp in 0..chirps {
+                                let iq = frame.chirp_samples(tx, rx, chirp);
+                                for (row, s) in lanes.chunks_exact_mut(n_lanes).zip(iq) {
+                                    row[2 * chirp] = s.re;
+                                    row[2 * chirp + 1] = s.im;
+                                }
+                            }
+                            self.bandpass.filter_lanes(lanes, n_lanes);
+                            CUBE_POOL.with(|wp| {
+                                wp.with(samples, |buf| {
                                     for chirp in 0..chirps {
-                                        bandpass.filter_complex_into(
-                                            frame.chirp_samples(tx, rx, chirp),
-                                            scratch,
-                                            buf,
-                                        );
-                                        Window::Hann.apply_inplace(buf);
+                                        let rows = lanes.chunks_exact(n_lanes);
+                                        for ((b, row), &w) in
+                                            buf.iter_mut().zip(rows).zip(&self.range_window)
+                                        {
+                                            *b = Complex::new(row[2 * chirp], row[2 * chirp + 1])
+                                                .scale(w);
+                                        }
                                         self.range_plan.forward(buf);
                                         rd_va[chirp * d_bins..(chirp + 1) * d_bins]
                                             .copy_from_slice(&buf[d_off..d_off + d_bins]);
@@ -380,10 +400,11 @@ impl CubeBuilder {
                         CUBE_POOL.with(|wp| {
                             wp.with(chirps, |buf| {
                                 for d in 0..d_bins {
-                                    for chirp in 0..chirps {
-                                        buf[chirp] = rd[(va * chirps + chirp) * d_bins + d];
+                                    for (chirp, (b, &w)) in
+                                        buf.iter_mut().zip(&self.doppler_window).enumerate()
+                                    {
+                                        *b = rd[(va * chirps + chirp) * d_bins + d].scale(w);
                                     }
-                                    Window::Hann.apply_inplace(buf);
                                     self.doppler_plan.forward(buf);
                                     fft_shift_inplace(buf);
                                     for v in 0..v_bins {

@@ -10,14 +10,23 @@
 //! Design math runs in `f64` for numerical robustness; filtering runs in
 //! `f32` to match the rest of the pipeline.
 //!
-//! Complex (two-plane) batch filtering executes through the process-wide
-//! [`mmhand_kernels`] backend: the SIMD backend runs the real and imaginary
-//! cascades in parallel lanes with the exact scalar op sequence per sample,
-//! so backend choice never changes a single output bit (asserted by
-//! proptest below).
+//! Batch filtering — many signals stored sample by sample
+//! ([`BandpassFilter::filter_lanes`]), and a complex signal as its two-lane
+//! case — executes through the process-wide [`mmhand_kernels`] backend: the
+//! SIMD backend runs independent signals in parallel lanes with the exact
+//! scalar op sequence per sample, so backend choice never changes a single
+//! output bit (asserted by proptest below).
 
-use mmhand_kernels::{BiquadCoeffs, Kernels};
+use mmhand_kernels::{BiquadCoeffs, Kernels, MAX_BIQUADS};
 use std::fmt;
+use std::sync::OnceLock;
+
+/// The `dsp.filter.batch_samples` histogram, resolved once so a filter call
+/// never takes the telemetry registry lock.
+fn batch_samples() -> &'static mmhand_telemetry::Histogram {
+    static H: OnceLock<mmhand_telemetry::Histogram> = OnceLock::new();
+    H.get_or_init(|| mmhand_telemetry::size_histogram("dsp.filter.batch_samples"))
+}
 
 /// Error returned by [`ButterworthDesign::design`] for invalid parameters.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -320,7 +329,7 @@ impl BandpassFilter {
     /// cascade reads each sample before overwriting it, so filtering a
     /// pooled buffer in place changes nothing but the allocation.
     pub fn filter_signal_inplace(&mut self, xs: &mut [f32]) {
-        mmhand_telemetry::size_histogram("dsp.filter.batch_samples").observe(xs.len() as f64);
+        batch_samples().observe(xs.len() as f64);
         self.reset();
         for x in xs.iter_mut() {
             *x = self.process(*x);
@@ -337,8 +346,8 @@ impl BandpassFilter {
     }
 
     /// [`filter_complex`](Self::filter_complex) into caller-provided
-    /// (typically pooled) buffers: `scratch` holds the deinterleaved
-    /// real/imaginary planes (`2 · xs.len()` floats), `out` receives the
+    /// (typically pooled) buffers: `scratch` holds the signal as two lanes
+    /// (`[re, im]` per sample, `2 · xs.len()` floats), `out` receives the
     /// filtered signal. Both are replaced, and the processing — dispatched
     /// to the kernel backend — is bitwise identical to running the real
     /// plane then the imaginary plane through [`filter_signal_inplace`]
@@ -362,35 +371,50 @@ impl BandpassFilter {
         scratch: &mut Vec<f32>,
         out: &mut Vec<mmhand_math::Complex>,
     ) {
-        let n = xs.len();
         scratch.clear();
-        scratch.resize(2 * n, 0.0);
-        let (re, im) = scratch.split_at_mut(n);
-        for (k, c) in xs.iter().enumerate() {
-            re[k] = c.re;
-            im[k] = c.im;
+        scratch.resize(2 * xs.len(), 0.0);
+        for (p, c) in scratch.chunks_exact_mut(2).zip(xs) {
+            p[0] = c.re;
+            p[1] = c.im;
         }
-        if self.coeffs.len() <= mmhand_kernels::MAX_BIQUADS {
-            // One batch-size observation per plane, matching the two
-            // filter_signal_inplace calls of the fallback path.
-            let hist = mmhand_telemetry::size_histogram("dsp.filter.batch_samples");
-            hist.observe(n as f64);
-            hist.observe(n as f64);
-            self.reset();
-            kern.iir_cascade_dual(&self.coeffs, self.gain, re, im);
-        } else {
-            // Cascades deeper than the kernel contract's MAX_BIQUADS (a
-            // >32nd-order band-pass; never produced by the paper pipeline)
-            // fall back to the per-sample scalar path.
-            self.filter_signal_inplace(re);
-            self.filter_signal_inplace(im);
-        }
+        self.filter_lanes_with(kern, scratch, 2);
         out.clear();
-        out.extend(
-            re.iter()
-                .zip(im.iter())
-                .map(|(&r, &i)| mmhand_math::Complex::new(r, i)),
+        out.extend(scratch.chunks_exact(2).map(|p| mmhand_math::Complex::new(p[0], p[1])));
+    }
+
+    /// Filters `lanes` independent real signals stored sample by sample —
+    /// `x[t·lanes + l]` is sample `t` of lane `l` — in one kernel call,
+    /// each lane from cleared state. Lane `l` comes out bitwise identical
+    /// to that signal alone through
+    /// [`filter_signal_inplace`](Self::filter_signal_inplace), whichever
+    /// backend is active. The kernel keeps the cascade state on its own
+    /// stack, so a shared filter serves every thread without a clone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not hold whole rows of `lanes` samples.
+    pub fn filter_lanes(&self, x: &mut [f32], lanes: usize) {
+        self.filter_lanes_with(mmhand_kernels::kernels(), x, lanes);
+    }
+
+    fn filter_lanes_with(&self, kern: &dyn Kernels, x: &mut [f32], lanes: usize) {
+        assert!(
+            x.len().is_multiple_of(lanes),
+            "{} samples do not fill whole rows of {lanes} lanes",
+            x.len()
         );
+        batch_samples().observe(x.len() as f64);
+        // A cascade deeper than the kernel's MAX_BIQUADS (a >32nd-order
+        // band-pass; never produced by the paper pipeline) runs as
+        // consecutive passes over section blocks. Each section's output
+        // depends only on its input sequence, and a later block's unit gain
+        // returns every sample unchanged, so the passes reproduce the
+        // per-sample cascade bit for bit.
+        let mut gain = self.gain;
+        for block in self.coeffs.chunks(MAX_BIQUADS) {
+            kern.iir_cascade_lanes(block, gain, x, lanes);
+            gain = 1.0;
+        }
     }
 
     /// Magnitude response at `freq_hz` for sampling rate `fs`.
@@ -426,6 +450,21 @@ mod tests {
         }
         .design()
         .unwrap()
+    }
+
+    /// A cascade deeper than the kernel's `MAX_BIQUADS`: the paper-like
+    /// filter's four stable sections repeated five times.
+    fn deep_filter() -> BandpassFilter {
+        let base = paper_like_filter();
+        let sections: Vec<Biquad> = base.sections.iter().cycle().take(20).copied().collect();
+        let coeffs = sections.iter().map(|s| BiquadCoeffs { b: s.b, a: s.a }).collect();
+        BandpassFilter { sections, coeffs, gain: base.gain }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole rows")]
+    fn filter_lanes_rejects_ragged_rows() {
+        paper_like_filter().filter_lanes(&mut [0.0; 7], 2);
     }
 
     #[test]
@@ -606,6 +645,38 @@ mod tests {
                     u.re.to_bits() == v.re.to_bits() && u.im.to_bits() == v.im.to_bits(),
                     "sample {k}: scalar {u:?} != simd {v:?}"
                 );
+            }
+        }
+
+        /// Lane `l` of a batched `filter_lanes` call must equal that signal
+        /// alone through the per-sample cascade bit for bit — for lane
+        /// counts spanning whole registers, multi-register passes and
+        /// ragged tails, and for a cascade deeper than `MAX_BIQUADS`.
+        #[test]
+        fn filter_lanes_matches_per_signal_filtering(
+            lanes in 1usize..41,
+            rows in 0usize..100,
+            deep in 0u8..2,
+            seed in 0u64..1000,
+        ) {
+            let deep = deep == 1;
+            let mut f = if deep { deep_filter() } else { paper_like_filter() };
+            prop_assert_eq!(f.section_count() > MAX_BIQUADS, deep);
+            let x: Vec<f32> = (0..rows * lanes)
+                .map(|i| ((i as u64 * 7919 + seed) as f32 * 0.013).sin() * 3.0)
+                .collect();
+            let mut batched = x.clone();
+            f.filter_lanes(&mut batched, lanes);
+            for lane in 0..lanes {
+                let mut alone: Vec<f32> = x.iter().skip(lane).step_by(lanes).copied().collect();
+                f.filter_signal_inplace(&mut alone);
+                for (t, y) in alone.iter().enumerate() {
+                    let b = batched[t * lanes + lane];
+                    prop_assert!(
+                        b.to_bits() == y.to_bits(),
+                        "sample {t} of lane {lane}: batched {b} != alone {y}"
+                    );
+                }
             }
         }
 

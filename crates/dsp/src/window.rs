@@ -42,7 +42,9 @@ impl Window {
         }
     }
 
-    /// Returns the full `n`-point window as a vector.
+    /// Returns the full `n`-point window as a vector. Scaling sample `i` by
+    /// entry `i` is bitwise [`apply_inplace`](Self::apply_inplace), so hot
+    /// paths cache this table instead of evaluating `cos` per sample.
     pub fn coefficients(self, n: usize) -> Vec<f32> {
         (0..n).map(|i| self.coefficient(i, n)).collect()
     }
@@ -120,6 +122,29 @@ mod tests {
         for (s, c) in sig.iter().zip(&w) {
             assert!((s.re - c).abs() < 1e-6);
             assert!(s.im.abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn coefficient_table_scaling_matches_apply_inplace_bitwise() {
+        // Callers that cache `coefficients(n)` and scale by table must get
+        // the same bits as the per-call `cos` evaluation.
+        for n in [1usize, 2, 16, 64, 65] {
+            let sig: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f32 * 0.7).sin(), (i as f32 * 0.3).cos()))
+                .collect();
+            for win in [Window::Rectangular, Window::Hann, Window::Hamming, Window::Blackman] {
+                let mut applied = sig.clone();
+                win.apply_inplace(&mut applied);
+                let table = win.coefficients(n);
+                for (k, (a, (s, &w))) in applied.iter().zip(sig.iter().zip(&table)).enumerate() {
+                    let t = s.scale(w);
+                    assert!(
+                        a.re.to_bits() == t.re.to_bits() && a.im.to_bits() == t.im.to_bits(),
+                        "{win:?} n={n} sample {k}"
+                    );
+                }
+            }
         }
     }
 

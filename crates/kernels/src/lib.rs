@@ -29,7 +29,7 @@
 //! merely close: it uses no FMA and never reassociates a reduction. Each
 //! output element accumulates the same products in the same order as the
 //! scalar loop; SIMD only evaluates independent output elements (GEMM
-//! columns, FFT butterflies, the two filter planes, vector components) in
+//! columns, FFT butterflies, filter lanes, vector components) in
 //! parallel lanes. The cross-backend property tests in this crate and in
 //! `nn`/`dsp` therefore assert a ULP distance of exactly zero, and the
 //! pinned-scalar mode (`MMHAND_KERNEL_BACKEND=scalar`) is an oracle, not a
@@ -53,8 +53,8 @@ pub const GEMM_MR: usize = 4;
 /// can use a fixed-size stack buffer for panel dot results.
 pub const ABT_PANEL_MAX: usize = 8;
 
-/// Upper bound on the biquad cascade length [`Kernels::iir_cascade_dual`]
-/// accepts (the SIMD backend keeps section state in stack arrays). A
+/// Upper bound on the biquad cascade length [`Kernels::iir_cascade_lanes`]
+/// accepts (both backends keep section state in stack arrays). A
 /// 32nd-order Butterworth band-pass fits; the paper's filter is 8th order
 /// (4 sections).
 pub const MAX_BIQUADS: usize = 16;
@@ -95,7 +95,7 @@ pub struct SkinAttachment {
 /// backend directly via [`scalar_kernels`] / [`simd_kernels`].
 ///
 /// All methods are allocation-free: callers pass scratch (pack panels,
-/// deinterleaved planes) checked out of their own pools.
+/// filter lanes) checked out of their own pools.
 pub trait Kernels: Send + Sync {
     /// Backend name for logs and metric suffixes (`"scalar"`, `"simd"`).
     fn name(&self) -> &'static str;
@@ -137,11 +137,12 @@ pub trait Kernels: Send + Sync {
     /// pairs `(x[i+j], x[i+j+len/2])` with twiddles `tw[j]`.
     fn fft_stage(&self, x: &mut [Complex], tw: &[Complex], len: usize);
 
-    /// Cascaded-biquad filtering of the two planes of a complex signal,
-    /// each plane starting from cleared state: `y = gain·x` then through
-    /// every section in order. `coeffs.len()` must be ≤ [`MAX_BIQUADS`]
-    /// and the planes must have equal length.
-    fn iir_cascade_dual(&self, coeffs: &[BiquadCoeffs], gain: f32, re: &mut [f32], im: &mut [f32]);
+    /// Cascaded-biquad filtering of `lanes` independent signals stored
+    /// sample by sample — `x[t·lanes + l]` is sample `t` of lane `l` — each
+    /// lane starting from cleared state: `y = gain·x` then through every
+    /// section in order. `coeffs.len()` must be ≤ [`MAX_BIQUADS`] and
+    /// `x.len()` a multiple of `lanes`.
+    fn iir_cascade_lanes(&self, coeffs: &[BiquadCoeffs], gain: f32, x: &mut [f32], lanes: usize);
 
     /// Linear blend skinning: for each vertex `v` with attachment `w`,
     /// `out[v] = Σ_k w_k · (posed[j_k] + R[j_k]·(v − rest[j_k]))`, skipping
@@ -541,6 +542,35 @@ mod tests {
         }
     }
 
+    /// Lane `l` of a sample-by-sample buffer filters exactly as the same
+    /// signal does alone, on every backend — pinning the lane layout.
+    #[test]
+    fn iir_cascade_lanes_filters_each_lane_on_its_own() {
+        let coeffs = [
+            BiquadCoeffs { b: [1.0, 0.4, -1.0], a: [-1.2, 0.5] },
+            BiquadCoeffs { b: [0.7, -0.3, 0.2], a: [0.3, 0.2] },
+        ];
+        let (lanes, rows) = (11, 30);
+        let mut rng = stream_rng(5, "iir-lanes-layout");
+        let x = randn(&mut rng, lanes * rows);
+        for kern in [Some(scalar_kernels()), simd_kernels()].into_iter().flatten() {
+            let mut all = x.clone();
+            kern.iir_cascade_lanes(&coeffs, 0.5, &mut all, lanes);
+            for lane in 0..lanes {
+                let mut one: Vec<f32> = x.iter().skip(lane).step_by(lanes).copied().collect();
+                scalar_kernels().iir_cascade_lanes(&coeffs, 0.5, &mut one, 1);
+                for (t, y) in one.iter().enumerate() {
+                    assert_eq!(
+                        all[t * lanes + lane].to_bits(),
+                        y.to_bits(),
+                        "{}: sample {t} of lane {lane}",
+                        kern.name()
+                    );
+                }
+            }
+        }
+    }
+
     /// The blocked reduction is a reassociation of the flat squared sum: the
     /// value must agree with the sequential sum to float tolerance (the bits
     /// legitimately differ — that is the point of freezing the new order).
@@ -686,35 +716,39 @@ mod tests {
             }
         }
 
-        /// Dual-plane IIR cascades must be bitwise identical across
-        /// backends for any section count up to the cap.
+        /// Lane-parallel IIR cascades must be bitwise identical (0 ULP)
+        /// across backends for lane counts 1–40 — full 8-lane registers,
+        /// multi-register passes and ragged tails — and any section count
+        /// up to the cap.
         #[test]
         fn iir_cascade_backends_bitwise_identical(
-            n in 1usize..300, sections in 1usize..9, seed in 0u64..500,
+            lanes in 1usize..41, rows in 0usize..80, sections in 1usize..=MAX_BIQUADS,
+            seed in 0u64..500,
         ) {
             let Some((sc, sd)) = both() else { return Ok(()); };
             let mut rng = stream_rng(seed, "kern-iir");
-            // Random but stable-ish sections: poles well inside the circle.
+            // Random but stable-ish sections: poles well inside the circle,
+            // and every feed-forward tap non-trivial (with the band-pass's
+            // b1 = 0 a reordered `b1·y − a1·out + s2` keeps its bits).
             let coeffs: Vec<BiquadCoeffs> = (0..sections)
                 .map(|_| {
                     let r = 0.9 * (0.5 + 0.5 * standard_normal(&mut rng).tanh());
                     let th = standard_normal(&mut rng);
-                    BiquadCoeffs {
-                        b: [1.0, 0.0, -1.0],
-                        a: [-2.0 * r * th.cos(), r * r],
-                    }
+                    let b = [0; 3].map(|_| standard_normal(&mut rng));
+                    BiquadCoeffs { b, a: [-2.0 * r * th.cos(), r * r] }
                 })
                 .collect();
             let gain = 0.25;
-            let re = randn(&mut rng, n);
-            let im = randn(&mut rng, n);
-            let (mut re_sc, mut im_sc) = (re.clone(), im.clone());
-            let (mut re_sd, mut im_sd) = (re, im);
-            sc.iir_cascade_dual(&coeffs, gain, &mut re_sc, &mut im_sc);
-            sd.iir_cascade_dual(&coeffs, gain, &mut re_sd, &mut im_sd);
-            for t in 0..n {
-                prop_assert!(re_sc[t].to_bits() == re_sd[t].to_bits(), "re[{t}]");
-                prop_assert!(im_sc[t].to_bits() == im_sd[t].to_bits(), "im[{t}]");
+            let x = randn(&mut rng, rows * lanes);
+            let mut x_sc = x.clone();
+            let mut x_sd = x;
+            sc.iir_cascade_lanes(&coeffs, gain, &mut x_sc, lanes);
+            sd.iir_cascade_lanes(&coeffs, gain, &mut x_sd, lanes);
+            for (i, (a, b)) in x_sc.iter().zip(&x_sd).enumerate() {
+                prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "sample {} of lane {}: {a} != {b}", i / lanes, i % lanes
+                );
             }
         }
 

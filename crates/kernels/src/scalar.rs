@@ -82,23 +82,24 @@ impl Kernels for ScalarKernels {
         }
     }
 
-    fn iir_cascade_dual(&self, coeffs: &[BiquadCoeffs], gain: f32, re: &mut [f32], im: &mut [f32]) {
+    fn iir_cascade_lanes(&self, coeffs: &[BiquadCoeffs], gain: f32, x: &mut [f32], lanes: usize) {
         debug_assert!(coeffs.len() <= MAX_BIQUADS);
-        debug_assert_eq!(re.len(), im.len());
-        // Whole real plane first, then the whole imaginary plane — the same
-        // order as running two independent cascades back to back.
-        for plane in [re, im] {
+        debug_assert!(x.len().is_multiple_of(lanes), "x must hold whole rows of {lanes} lanes");
+        let rows = x.len().checked_div(lanes).unwrap_or(0);
+        // One whole lane after another — the same order as filtering each
+        // signal on its own through the per-sample cascade.
+        for lane in 0..lanes {
             let mut s1 = [0.0f32; MAX_BIQUADS];
             let mut s2 = [0.0f32; MAX_BIQUADS];
-            for x in plane.iter_mut() {
-                let mut y = *x * gain;
+            for v in x[..rows * lanes].iter_mut().skip(lane).step_by(lanes) {
+                let mut y = *v * gain;
                 for (s, c) in coeffs.iter().enumerate() {
                     let out = c.b[0] * y + s1[s];
                     s1[s] = c.b[1] * y - c.a[0] * out + s2[s];
                     s2[s] = c.b[2] * y - c.a[1] * out;
                     y = out;
                 }
-                *x = y;
+                *v = y;
             }
         }
     }

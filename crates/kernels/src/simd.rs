@@ -1,10 +1,10 @@
 //! Explicit SIMD backend for x86_64: AVX2 for the throughput kernels
-//! (GEMM, FFT), SSE2 for the lane-parallel ones (dual-plane IIR, LBS).
+//! (GEMM, FFT, the lane-parallel IIR cascade), SSE2 for LBS.
 //!
 //! **Bitwise contract with the scalar reference:** no FMA, no reduction
 //! reassociation. Vector lanes only evaluate *independent* output elements
-//! (GEMM columns, FFT butterflies, the real/imaginary filter planes, the
-//! x/y/z vertex components) in parallel; each element sees exactly the
+//! (GEMM columns, FFT butterflies, independent filter signals, the x/y/z
+//! vertex components) in parallel; each element sees exactly the
 //! scalar operation sequence. The one tolerated difference — the FFT
 //! butterfly's imaginary part sums its two products in swapped order — is
 //! still bitwise identical because IEEE-754 addition of finite values is
@@ -79,10 +79,13 @@ impl Kernels for SimdKernels {
         }
     }
 
-    fn iir_cascade_dual(&self, coeffs: &[BiquadCoeffs], gain: f32, re: &mut [f32], im: &mut [f32]) {
-        // SAFETY: SSE2 is part of the x86_64 baseline, unconditionally
-        // present on any CPU this module compiles for.
-        unsafe { iir_cascade_dual_sse2(coeffs, gain, re, im) }
+    fn iir_cascade_lanes(&self, coeffs: &[BiquadCoeffs], gain: f32, x: &mut [f32], lanes: usize) {
+        debug_assert!(coeffs.len() <= MAX_BIQUADS);
+        debug_assert!(x.len().is_multiple_of(lanes), "x must hold whole rows of {lanes} lanes");
+        // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
+        // succeeded (see `simd_kernels` in lib.rs); the kernel bounds every
+        // access by the whole rows of `x` itself.
+        unsafe { iir_cascade_lanes_avx2(coeffs, gain, x, lanes) }
     }
 
     fn lbs_skin(
@@ -357,39 +360,124 @@ unsafe fn fft_stage1_sse3(x: &mut [Complex], tw: &[Complex]) {
     }
 }
 
-/// Both cascades of a complex filtering pass at once: lane 0 carries the
-/// real plane, lane 1 the imaginary plane, each applying the exact scalar
-/// per-sample/per-section operation sequence.
+/// Full 8-lane groups filtered per pass: four registers (32 lanes, one
+/// virtual antenna's chirps in the cube) give four independent recurrences
+/// per section to overlap the mul→add latency.
+const IIR_REGS: usize = 4;
+
+/// Rows of a masked tail (fewer than 8 lanes) loaded ahead of their stores.
+const IIR_TAIL_ROWS: usize = 16;
+
+/// Lane-parallel biquad cascade over a sample-by-sample buffer: each ymm
+/// lane is one independent signal running the exact scalar per-sample,
+/// per-section operation sequence (separate multiply and add/sub — never
+/// fused). Full 8-lane groups go up to [`IIR_REGS`] registers per pass; a
+/// ragged group of fewer than 8 lanes runs masked, its idle lanes filtering
+/// zeros that are never stored.
 ///
-/// SAFETY: caller must ensure SSE2 (x86_64 baseline), equal plane lengths
-/// and `coeffs.len() ≤ MAX_BIQUADS` (debug-asserted).
-#[target_feature(enable = "sse2")]
-unsafe fn iir_cascade_dual_sse2(coeffs: &[BiquadCoeffs], gain: f32, re: &mut [f32], im: &mut [f32]) {
-    debug_assert!(coeffs.len() <= MAX_BIQUADS);
-    debug_assert_eq!(re.len(), im.len());
-    let mut s1 = [_mm_setzero_ps(); MAX_BIQUADS];
-    let mut s2 = [_mm_setzero_ps(); MAX_BIQUADS];
-    let g = _mm_set1_ps(gain);
-    for t in 0..re.len() {
-        let x = _mm_set_ps(0.0, 0.0, im[t], re[t]);
-        let mut y = _mm_mul_ps(x, g);
-        for (s, c) in coeffs.iter().enumerate() {
-            let out = _mm_add_ps(_mm_mul_ps(_mm_set1_ps(c.b[0]), y), s1[s]);
-            s1[s] = _mm_add_ps(
-                _mm_sub_ps(
-                    _mm_mul_ps(_mm_set1_ps(c.b[1]), y),
-                    _mm_mul_ps(_mm_set1_ps(c.a[0]), out),
-                ),
-                s2[s],
-            );
-            s2[s] = _mm_sub_ps(
-                _mm_mul_ps(_mm_set1_ps(c.b[2]), y),
-                _mm_mul_ps(_mm_set1_ps(c.a[1]), out),
-            );
-            y = out;
+/// SAFETY: caller must ensure AVX2. Every access stays below
+/// `rows · lanes ≤ x.len()`, and the section state is indexed with bounds
+/// checks, so an over-long cascade panics instead of overrunning.
+#[target_feature(enable = "avx2")]
+unsafe fn iir_cascade_lanes_avx2(coeffs: &[BiquadCoeffs], gain: f32, x: &mut [f32], lanes: usize) {
+    let rows = x.len().checked_div(lanes).unwrap_or(0);
+    let xp = x.as_mut_ptr();
+    let g = _mm256_set1_ps(gain);
+    let mut l0 = 0;
+    while lanes - l0 >= 8 {
+        let regs = ((lanes - l0) / 8).min(IIR_REGS);
+        match regs {
+            4 => iir_lanes_avx2::<4>(coeffs, g, xp, rows, lanes, l0),
+            3 => iir_lanes_avx2::<3>(coeffs, g, xp, rows, lanes, l0),
+            2 => iir_lanes_avx2::<2>(coeffs, g, xp, rows, lanes, l0),
+            _ => iir_lanes_avx2::<1>(coeffs, g, xp, rows, lanes, l0),
         }
-        re[t] = _mm_cvtss_f32(y);
-        im[t] = _mm_cvtss_f32(_mm_shuffle_ps::<0b01>(y, y));
+        l0 += 8 * regs;
+    }
+    if l0 < lanes {
+        let live = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32((lanes - l0) as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let mut s1 = [[_mm256_setzero_ps(); 1]; MAX_BIQUADS];
+        let mut s2 = [[_mm256_setzero_ps(); 1]; MAX_BIQUADS];
+        let mut stage = [[_mm256_setzero_ps(); 1]; IIR_TAIL_ROWS];
+        let mut t0 = 0;
+        while t0 < rows {
+            let chunk = &mut stage[..(rows - t0).min(IIR_TAIL_ROWS)];
+            // Load a chunk of rows before storing any: with fewer than 8
+            // lanes a row's masked store window overlaps the next rows'
+            // load windows, and storing row by row would chain every
+            // sample's cascade through memory.
+            for (i, y) in chunk.iter_mut().enumerate() {
+                y[0] = _mm256_mul_ps(_mm256_maskload_ps(xp.add((t0 + i) * lanes + l0), live), g);
+            }
+            for y in chunk.iter_mut() {
+                iir_sections_avx2(coeffs, y, &mut s1, &mut s2);
+            }
+            for (i, y) in chunk.iter().enumerate() {
+                _mm256_maskstore_ps(xp.add((t0 + i) * lanes + l0), live, y[0]);
+            }
+            t0 += chunk.len();
+        }
+    }
+}
+
+/// Lanes `[l0, l0 + 8·R)` of every row through the whole cascade, `R`
+/// registers at a time.
+///
+/// SAFETY: caller must ensure AVX2, `l0 + 8·R ≤ lanes` and
+/// `rows · lanes` within the buffer behind `xp`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn iir_lanes_avx2<const R: usize>(
+    coeffs: &[BiquadCoeffs],
+    g: __m256,
+    xp: *mut f32,
+    rows: usize,
+    lanes: usize,
+    l0: usize,
+) {
+    let mut s1 = [[_mm256_setzero_ps(); R]; MAX_BIQUADS];
+    let mut s2 = [[_mm256_setzero_ps(); R]; MAX_BIQUADS];
+    for t in 0..rows {
+        let p = xp.add(t * lanes + l0);
+        let mut y = [_mm256_setzero_ps(); R];
+        for (r, yr) in y.iter_mut().enumerate() {
+            *yr = _mm256_mul_ps(_mm256_loadu_ps(p.add(8 * r)), g);
+        }
+        iir_sections_avx2(coeffs, &mut y, &mut s1, &mut s2);
+        for (r, yr) in y.iter().enumerate() {
+            _mm256_storeu_ps(p.add(8 * r), *yr);
+        }
+    }
+}
+
+/// One sample of `R` registers through every section, in the scalar
+/// order: `out = b0·y + s1`, `s1 = b1·y − a1·out + s2`, `s2 = b2·y − a2·out`.
+///
+/// SAFETY: caller must ensure AVX2; `coeffs.len() > MAX_BIQUADS` panics on
+/// the bounds-checked state index.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn iir_sections_avx2<const R: usize>(
+    coeffs: &[BiquadCoeffs],
+    y: &mut [__m256; R],
+    s1: &mut [[__m256; R]; MAX_BIQUADS],
+    s2: &mut [[__m256; R]; MAX_BIQUADS],
+) {
+    for (s, c) in coeffs.iter().enumerate() {
+        let (b0, b1, b2) = (_mm256_set1_ps(c.b[0]), _mm256_set1_ps(c.b[1]), _mm256_set1_ps(c.b[2]));
+        let (a1, a2) = (_mm256_set1_ps(c.a[0]), _mm256_set1_ps(c.a[1]));
+        for r in 0..R {
+            let out = _mm256_add_ps(_mm256_mul_ps(b0, y[r]), s1[s][r]);
+            s1[s][r] = _mm256_add_ps(
+                _mm256_sub_ps(_mm256_mul_ps(b1, y[r]), _mm256_mul_ps(a1, out)),
+                s2[s][r],
+            );
+            s2[s][r] = _mm256_sub_ps(_mm256_mul_ps(b2, y[r]), _mm256_mul_ps(a2, out));
+            y[r] = out;
+        }
     }
 }
 
