@@ -304,11 +304,16 @@ impl CubeBuilder {
     /// Processes one raw frame into a cube slice, rejecting frames whose
     /// geometry does not match the builder's configuration.
     ///
-    /// All three stages fan out across the `mmhand-parallel` pool: stage 1
-    /// per virtual antenna (one band-pass call filters all of its chirps;
-    /// the shared filter keeps no state between calls), stage 2 per virtual
-    /// antenna, stage 3 per velocity bin. Every output cell is written by
-    /// exactly one task, so the cube is identical at any thread count.
+    /// The three stages run inline on the calling thread: stage 1 per
+    /// virtual antenna (one band-pass call filters all of its chirps; the
+    /// shared filter keeps no state between calls), stage 2 per virtual
+    /// antenna, stage 3 per velocity bin. A frame is too small a unit to
+    /// split across the `mmhand-parallel` pool; callers fan out over frames
+    /// and segments instead ([`MmHandPipeline`](crate::MmHandPipeline)
+    /// over a window's frames, dataset set-up over a session's segments,
+    /// `mmhand-serve` over a micro-batch's frames). The builder keeps no
+    /// state between calls, so one shared `&CubeBuilder` serves every
+    /// worker and the cube is identical at any thread count.
     ///
     /// # Errors
     ///
@@ -333,125 +338,34 @@ impl CubeBuilder {
     ///
     /// Every intermediate buffer — the `rd`/`vd` planes, the per-chirp FFT
     /// buffer, the filter lanes and the angle spectra — checks out of the
-    /// per-worker scratch pools, so a steady-state frame allocates only its
-    /// own output. Pooled checkouts come back zero-filled, and the filter
-    /// lanes, window tables, FFT plans and steering tables replay the
-    /// reference arithmetic exactly, so the cube is bitwise identical to the
-    /// allocating ancestor of this code at any thread count.
+    /// per-thread scratch pools once per frame, so a steady-state frame
+    /// allocates only its own output. Each stage overwrites every cell of
+    /// its working buffers before reading them, and the filter lanes,
+    /// window tables, FFT plans and steering tables replay the reference
+    /// arithmetic exactly, so the cube is bitwise identical to the
+    /// allocating ancestor of this code on any thread.
     fn process_frame_validated(&self, frame: &RawFrame) -> CubeFrame {
         let cfg = &self.config;
         let n_va = cfg.chirp.virtual_antenna_count();
         let chirps = cfg.chirp.chirps_per_tx;
-        let samples = cfg.chirp.samples_per_chirp;
-        let d_off = cfg.range_bin_offset();
         let d_bins = cfg.range_bins;
-        let v_bins = cfg.doppler_bins;
-        let v_off = (chirps - v_bins) / 2;
-        let az_row = self.array.azimuth_row();
-        let el_row = self.array.elevated_row();
-        let az_overlap = self.array.azimuth_overlap();
-        let [_, dd, aa] = cfg.frame_shape();
-        let mut out = vec![0.0_f32; v_bins * dd * aa];
+        let mut out = vec![0.0_f32; cfg.frame_shape().iter().product()];
 
         CUBE_POOL.with(|pool| {
             pool.with(n_va * chirps * d_bins, |rd| {
-                // Range-FFT per (virtual antenna, chirp), band-pass-filtered.
-                // rd[va][chirp][d]
-                mmhand_parallel::par_chunks_mut(rd, chirps * d_bins, |va, rd_va| {
-                    let (tx, rx) = self.pairs[va];
-                    // Lanes 2c and 2c + 1 hold the real and imaginary parts
-                    // of chirp c: lanes[t·2C + 2c] is the real part of its
-                    // sample t.
-                    let n_lanes = 2 * chirps;
-                    CUBE_F32_POOL.with(|fp| {
-                        fp.with(n_lanes * samples, |lanes| {
-                            for chirp in 0..chirps {
-                                let iq = frame.chirp_samples(tx, rx, chirp);
-                                for (row, s) in lanes.chunks_exact_mut(n_lanes).zip(iq) {
-                                    row[2 * chirp] = s.re;
-                                    row[2 * chirp + 1] = s.im;
-                                }
-                            }
-                            self.bandpass.filter_lanes(lanes, n_lanes);
-                            CUBE_POOL.with(|wp| {
-                                wp.with(samples, |buf| {
-                                    for chirp in 0..chirps {
-                                        let rows = lanes.chunks_exact(n_lanes);
-                                        for ((b, row), &w) in
-                                            buf.iter_mut().zip(rows).zip(&self.range_window)
-                                        {
-                                            *b = Complex::new(row[2 * chirp], row[2 * chirp + 1])
-                                                .scale(w);
-                                        }
-                                        self.range_plan.forward(buf);
-                                        rd_va[chirp * d_bins..(chirp + 1) * d_bins]
-                                            .copy_from_slice(&buf[d_off..d_off + d_bins]);
-                                    }
-                                })
-                            })
+                CUBE_F32_POOL.with(|fp| {
+                    fp.with(2 * chirps * cfg.chirp.samples_per_chirp, |lanes| {
+                        pool.with(cfg.chirp.samples_per_chirp, |buf| {
+                            self.range_stage(frame, rd, lanes, buf);
                         })
-                    });
+                    })
                 });
-
-                // Doppler-FFT per (virtual antenna, range bin), keep the
-                // central V bins. vd[va][v][d]
-                pool.with(n_va * v_bins * d_bins, |vd| {
-                    mmhand_parallel::par_chunks_mut(vd, v_bins * d_bins, |va, vd_va| {
-                        CUBE_POOL.with(|wp| {
-                            wp.with(chirps, |buf| {
-                                for d in 0..d_bins {
-                                    for (chirp, (b, &w)) in
-                                        buf.iter_mut().zip(&self.doppler_window).enumerate()
-                                    {
-                                        *b = rd[(va * chirps + chirp) * d_bins + d].scale(w);
-                                    }
-                                    self.doppler_plan.forward(buf);
-                                    fft_shift_inplace(buf);
-                                    for v in 0..v_bins {
-                                        vd_va[v * d_bins + d] = buf[v_off + v];
-                                    }
-                                }
-                            })
-                        });
-                    });
-
-                    // Angle spectra per (v, d) cell, one task per velocity
-                    // bin.
-                    mmhand_parallel::par_chunks_mut(&mut out, dd * aa, |v, out_v| {
-                        CUBE_POOL.with(|wp| {
-                            wp.with(az_row.len(), |az_elements| {
-                                wp.with(cfg.azimuth_bins.max(cfg.elevation_bins), |spec| {
-                                    for d in 0..d_bins {
-                                        // Azimuth: zoom-DFT over the
-                                        // 8-element ULA.
-                                        for (k, &e) in az_row.iter().enumerate() {
-                                            az_elements[k] =
-                                                vd[(e * v_bins + v) * d_bins + d];
-                                        }
-                                        self.az_plan.evaluate_into(az_elements, spec);
-                                        let base = d * aa;
-                                        for (a, s) in spec.iter().enumerate() {
-                                            out_v[base + a] = s.abs();
-                                        }
-                                        // Elevation: 2-element vertical
-                                        // interferometer formed by the summed
-                                        // overlapping columns of the z = 0
-                                        // and z = λ/2 rows.
-                                        let mut bottom = Complex::ZERO;
-                                        let mut top = Complex::ZERO;
-                                        for (&et, &eb) in el_row.iter().zip(az_overlap) {
-                                            top += vd[(et * v_bins + v) * d_bins + d];
-                                            bottom += vd[(eb * v_bins + v) * d_bins + d];
-                                        }
-                                        self.el_plan.evaluate_into(&[bottom, top], spec);
-                                        for (a, s) in spec.iter().enumerate() {
-                                            out_v[base + cfg.azimuth_bins + a] =
-                                                s.abs() / el_row.len() as f32;
-                                        }
-                                    }
-                                })
-                            })
-                        });
+                pool.with(n_va * cfg.doppler_bins * d_bins, |vd| {
+                    pool.with(chirps, |buf| self.doppler_stage(rd, vd, buf));
+                    pool.with(self.array.azimuth_row().len(), |az_elements| {
+                        pool.with(cfg.azimuth_bins.max(cfg.elevation_bins), |spec| {
+                            self.angle_stage(vd, &mut out, az_elements, spec);
+                        })
                     });
                 });
             });
@@ -459,6 +373,107 @@ impl CubeBuilder {
 
         frames_processed().inc();
         CubeFrame { data: out, shape: cfg.frame_shape() }
+    }
+
+    /// Stage 1: band-pass filter and range-FFT per (virtual antenna,
+    /// chirp), keeping the hand band's `D` bins. Writes `rd[va][chirp][d]`.
+    fn range_stage(
+        &self,
+        frame: &RawFrame,
+        rd: &mut [Complex],
+        lanes: &mut [f32],
+        buf: &mut [Complex],
+    ) {
+        let chirps = self.config.chirp.chirps_per_tx;
+        let d_bins = self.config.range_bins;
+        let d_off = self.config.range_bin_offset();
+        // Lanes 2c and 2c + 1 hold the real and imaginary parts of chirp c:
+        // lanes[t·2C + 2c] is the real part of its sample t.
+        let n_lanes = 2 * chirps;
+        for (va, rd_va) in rd.chunks_exact_mut(chirps * d_bins).enumerate() {
+            let (tx, rx) = self.pairs[va];
+            for chirp in 0..chirps {
+                let iq = frame.chirp_samples(tx, rx, chirp);
+                for (row, s) in lanes.chunks_exact_mut(n_lanes).zip(iq) {
+                    row[2 * chirp] = s.re;
+                    row[2 * chirp + 1] = s.im;
+                }
+            }
+            self.bandpass.filter_lanes(lanes, n_lanes);
+            for chirp in 0..chirps {
+                let rows = lanes.chunks_exact(n_lanes);
+                for ((b, row), &w) in buf.iter_mut().zip(rows).zip(&self.range_window) {
+                    *b = Complex::new(row[2 * chirp], row[2 * chirp + 1]).scale(w);
+                }
+                self.range_plan.forward(buf);
+                rd_va[chirp * d_bins..(chirp + 1) * d_bins]
+                    .copy_from_slice(&buf[d_off..d_off + d_bins]);
+            }
+        }
+    }
+
+    /// Stage 2: Doppler-FFT per (virtual antenna, range bin), keeping the
+    /// central `V` bins. Writes `vd[va][v][d]`.
+    fn doppler_stage(&self, rd: &[Complex], vd: &mut [Complex], buf: &mut [Complex]) {
+        let chirps = self.config.chirp.chirps_per_tx;
+        let d_bins = self.config.range_bins;
+        let v_bins = self.config.doppler_bins;
+        let v_off = (chirps - v_bins) / 2;
+        for (va, vd_va) in vd.chunks_exact_mut(v_bins * d_bins).enumerate() {
+            for d in 0..d_bins {
+                for (chirp, (b, &w)) in buf.iter_mut().zip(&self.doppler_window).enumerate() {
+                    *b = rd[(va * chirps + chirp) * d_bins + d].scale(w);
+                }
+                self.doppler_plan.forward(buf);
+                fft_shift_inplace(buf);
+                for v in 0..v_bins {
+                    vd_va[v * d_bins + d] = buf[v_off + v];
+                }
+            }
+        }
+    }
+
+    /// Stage 3: azimuth and elevation spectra per (v, d) cell. Writes the
+    /// cube's magnitudes `out[v][d][a]`.
+    fn angle_stage(
+        &self,
+        vd: &[Complex],
+        out: &mut [f32],
+        az_elements: &mut [Complex],
+        spec: &mut Vec<Complex>,
+    ) {
+        let cfg = &self.config;
+        let (d_bins, v_bins) = (cfg.range_bins, cfg.doppler_bins);
+        let aa = cfg.angle_bins();
+        let az_row = self.array.azimuth_row();
+        let el_row = self.array.elevated_row();
+        let az_overlap = self.array.azimuth_overlap();
+        for (v, out_v) in out.chunks_exact_mut(d_bins * aa).enumerate() {
+            for d in 0..d_bins {
+                // Azimuth: zoom-DFT over the 8-element ULA.
+                for (k, &e) in az_row.iter().enumerate() {
+                    az_elements[k] = vd[(e * v_bins + v) * d_bins + d];
+                }
+                self.az_plan.evaluate_into(az_elements, spec);
+                let base = d * aa;
+                for (a, s) in spec.iter().enumerate() {
+                    out_v[base + a] = s.abs();
+                }
+                // Elevation: 2-element vertical interferometer formed by
+                // the summed overlapping columns of the z = 0 and z = λ/2
+                // rows.
+                let mut bottom = Complex::ZERO;
+                let mut top = Complex::ZERO;
+                for (&et, &eb) in el_row.iter().zip(az_overlap) {
+                    top += vd[(et * v_bins + v) * d_bins + d];
+                    bottom += vd[(eb * v_bins + v) * d_bins + d];
+                }
+                self.el_plan.evaluate_into(&[bottom, top], spec);
+                for (a, s) in spec.iter().enumerate() {
+                    out_v[base + cfg.azimuth_bins + a] = s.abs() / el_row.len() as f32;
+                }
+            }
+        }
     }
 
     /// Stacks `st` consecutive cube frames into one segment tensor of shape

@@ -85,16 +85,16 @@ pub fn try_session_to_sequences(
     let st = builder.config().frames_per_segment;
     let n_segments = session.len() / st;
     // Segments are independent of one another, so they fan out across the
-    // pool; each worker clones the builder (cheap — the FFT/zoom plans are
-    // Arc-shared) to get its own scratch state. `par_map` returns results in
+    // pool, one task per segment. The builder keeps no state between calls
+    // (its filter is shared read-only and its scratch is per thread), so
+    // every task uses the one `&CubeBuilder`. `par_map` returns results in
     // input order, so the dataset is identical to the serial construction.
     let indices: Vec<usize> = (0..n_segments).collect();
     let per_segment = mmhand_parallel::par_map(&indices, |&s| {
-        let worker = builder.clone();
         let cube_frames = (0..st)
-            .map(|k| worker.try_process_frame(&session.frames[s * st + k]))
+            .map(|k| builder.try_process_frame(&session.frames[s * st + k]))
             .collect::<Result<Vec<_>, _>>()?;
-        let segment = worker.try_segment_tensor(&cube_frames)?;
+        let segment = builder.try_segment_tensor(&cube_frames)?;
         let truth = &session.truth[s * st + st - 1];
         let label = truth.iter().flat_map(|v| v.to_array()).collect::<Vec<f32>>();
         Ok::<_, PipelineError>((segment, label))

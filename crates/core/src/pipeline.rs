@@ -150,23 +150,24 @@ impl MmHandPipeline {
     /// Converts raw frames into per-segment input tensors. Frames that do
     /// not fill a whole segment are dropped.
     ///
+    /// The window's frames are independent, so their cubes are built one
+    /// task per frame on the `mmhand-parallel` pool; `par_map` keeps frame
+    /// order, so the segments are identical at any thread count.
+    ///
     /// # Errors
     ///
-    /// Returns the first frame-geometry violation.
+    /// Returns the first frame-geometry violation in frame order.
     pub fn try_frames_to_segments(
         &mut self,
         frames: &[RawFrame],
     ) -> Result<Vec<Tensor>, PipelineError> {
-        let st = self.builder.config().frames_per_segment;
-        let n_segments = frames.len() / st;
-        (0..n_segments)
-            .map(|s| {
-                let cubes = (0..st)
-                    .map(|k| self.builder.try_process_frame(&frames[s * st + k]))
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.builder.try_segment_tensor(&cubes)
-            })
-            .collect()
+        let builder = &self.builder;
+        let st = builder.config().frames_per_segment;
+        let whole = &frames[..frames.len() / st * st];
+        let cubes = mmhand_parallel::par_map(whole, |f| builder.try_process_frame(f))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        cubes.chunks_exact(st).map(|seg| builder.try_segment_tensor(seg)).collect()
     }
 
     /// Infallible wrapper over [`MmHandPipeline::try_frames_to_segments`].
@@ -624,6 +625,28 @@ mod tests {
         assert!(worst < 0.05, "worst joint deviation {worst} m");
     }
 
+    /// Asserts that stepping `pipeline` segment by segment from zero LSTM
+    /// state reproduces its whole-sequence prediction bit for bit. The
+    /// sequence path runs one tape per segment plus one for the temporal
+    /// model; the step path runs one tape per step.
+    fn assert_step_matches_sequence(pipeline: &MmHandPipeline, segments: &[Tensor]) {
+        let batch = pipeline.predict_sequence(segments);
+        let hidden = pipeline.model().lstm_hidden();
+        let mut h = Tensor::zeros(&[1, hidden]);
+        let mut c = Tensor::zeros(&[1, hidden]);
+        for (t, seg) in segments.iter().enumerate() {
+            let mut shape = vec![1];
+            shape.extend_from_slice(seg.shape());
+            let stepped = seg.reshaped(&shape);
+            let (skels, h2, c2) = pipeline.predict_step(&stepped, &h, &c);
+            h = h2;
+            c = c2;
+            for (a, b) in batch[t].iter().zip(&skels[0]) {
+                assert_eq!(a.to_bits(), b.to_bits(), "step {t}");
+            }
+        }
+    }
+
     #[test]
     fn quantized_step_matches_quantized_sequence_bitwise() {
         // The serve identity contract, per precision: streaming step-wise
@@ -631,22 +654,15 @@ mod tests {
         let (mut pipeline, frames) = tiny_pipeline();
         let quantized = quantize_pipeline(&mut pipeline, &frames);
         let segments = pipeline.frames_to_segments(&frames);
-        let batch = quantized.predict_sequence(&segments);
+        assert_step_matches_sequence(&quantized, &segments);
+    }
 
-        let hidden = quantized.model().lstm_hidden();
-        let mut h = Tensor::zeros(&[1, hidden]);
-        let mut c = Tensor::zeros(&[1, hidden]);
-        for (t, seg) in segments.iter().enumerate() {
-            let mut shape = vec![1];
-            shape.extend_from_slice(seg.shape());
-            let stepped = seg.reshaped(&shape);
-            let (skels, h2, c2) = quantized.predict_step(&stepped, &h, &c);
-            h = h2;
-            c = c2;
-            for (a, b) in batch[t].iter().zip(&skels[0]) {
-                assert_eq!(a.to_bits(), b.to_bits(), "step {t}");
-            }
-        }
+    #[test]
+    fn f32_step_matches_f32_sequence_bitwise() {
+        let (mut pipeline, frames) = tiny_pipeline();
+        assert_eq!(pipeline.precision(), crate::precision::Precision::F32);
+        let segments = pipeline.frames_to_segments(&frames);
+        assert_step_matches_sequence(&pipeline, &segments);
     }
 
     #[test]

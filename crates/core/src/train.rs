@@ -10,7 +10,9 @@ use crate::loss::{combined_loss, LossWeights};
 use crate::metrics::JointErrors;
 use crate::model::{MmHandModel, ModelConfig, OUTPUT_DIM};
 use mmhand_math::rng::stream_rng;
-use mmhand_nn::{Adam, Calibrator, CosineSchedule, ParamStore, QuantizedParamStore, Tape, Tensor};
+use mmhand_nn::{
+    Adam, Calibrator, CosineSchedule, ParamStore, QuantizedParamStore, Tape, Tensor, Var,
+};
 use mmhand_telemetry as telemetry;
 use std::sync::Arc;
 
@@ -98,31 +100,54 @@ pub struct TrainedModel {
 impl TrainedModel {
     /// Predicts joints for a sequence of `(st·V, D, A)` segments.
     /// Returns one flat 63-float skeleton (metres) per step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segments` is empty.
     pub fn predict_sequence(&self, segments: &[Tensor]) -> Vec<Vec<f32>> {
-        self.predict_sequence_on(Tape::new(), segments)
+        self.predict_sequence_on(None, segments)
     }
 
     /// [`predict_sequence`](Self::predict_sequence) on the int8 path: the
     /// same graph, but matmuls against parameters present in `q` run
     /// quantized (i8×i8→i32, dequantized at the output).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segments` is empty.
     pub fn predict_sequence_quantized(
         &self,
         q: Arc<QuantizedParamStore>,
         segments: &[Tensor],
     ) -> Vec<Vec<f32>> {
-        self.predict_sequence_on(Tape::with_quantized(q), segments)
+        self.predict_sequence_on(Some(q), segments)
     }
 
-    fn predict_sequence_on(&self, mut tape: Tape, segments: &[Tensor]) -> Vec<Vec<f32>> {
-        let batched: Vec<Tensor> = segments
-            .iter()
-            .map(|s| {
-                let mut shape = vec![1];
-                shape.extend_from_slice(s.shape());
-                s.reshaped(&shape)
-            })
-            .collect();
-        let outs = self.model.forward(&mut tape, &self.store, &batched);
+    /// The sequence forward pass of [`MmHandModel::forward`], split at the
+    /// spatial features: the segments' mmSpaceNet passes are independent,
+    /// so each runs on its own tape as one `mmhand-parallel` task (int8
+    /// tapes share `q`). The features come back in segment order and enter
+    /// the temporal model's tape as leaves holding the same values, so the
+    /// LSTM and head see exactly the inputs of the one-tape graph and the
+    /// skeletons are bitwise equal to it at any thread count.
+    fn predict_sequence_on(
+        &self,
+        q: Option<Arc<QuantizedParamStore>>,
+        segments: &[Tensor],
+    ) -> Vec<Vec<f32>> {
+        assert!(!segments.is_empty(), "need at least one segment");
+        let new_tape = || q.clone().map_or_else(Tape::new, Tape::with_quantized);
+        let features = mmhand_parallel::par_map(segments, |s| {
+            let mut tape = new_tape();
+            let mut shape = vec![1];
+            shape.extend_from_slice(s.shape());
+            let x = tape.leaf(s.reshaped(&shape));
+            let feature = self.model.spacenet.forward(&mut tape, &self.store, x);
+            tape.value(feature).clone()
+        });
+        let mut tape = new_tape();
+        let feats: Vec<Var> = features.into_iter().map(|f| tape.leaf(f)).collect();
+        let outs = self.model.temporal.forward(&mut tape, &self.store, &feats);
         outs.into_iter()
             .map(|o| {
                 let mut flat = tape.value(o).data().to_vec();

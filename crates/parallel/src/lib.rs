@@ -1,9 +1,13 @@
 //! # mmhand-parallel
 //!
 //! A small, dependency-free scoped fork-join thread pool shared by every
-//! hot path in the workspace: the GEMM/conv kernels in `mmhand-nn`, the
-//! per-antenna FFT fan-out in `mmhand-dsp`/`mmhand-core`, the data-parallel
-//! trainer, and the concurrent experiment runner in `mmhand-bench`.
+//! hot path in the workspace: the GEMM/conv kernels in `mmhand-nn`; in
+//! `mmhand-core`, a window's frames (one cube build each) and its segments
+//! (one mmSpaceNet pass each), a session's segments in dataset set-up, and
+//! the trainer's shards; a micro-batch's frames and jobs and the shards in
+//! `mmhand-serve`; and the concurrent experiment runner in `mmhand-bench`.
+//! A single frame's cube stages run inline: each is far too small to pay
+//! for a fork-join.
 //!
 //! Design points:
 //!

@@ -403,19 +403,18 @@ impl ServeEngine {
     /// Builds cube tensors for the drained jobs, runs the micro-batched
     /// forward pass, reconstructs meshes, and buffers per-session results.
     fn run_batch(&mut self, jobs: &[Job]) -> Result<usize, ServeError> {
+        // One task per frame across the batch's jobs, so a lone job's
+        // frames still spread over the pool; results stay in frame order.
         let builder = self.pipeline.builder();
-        let built = mmhand_parallel::par_map(jobs, |job| {
-            let cubes = job
-                .frames
-                .iter()
-                .map(|f| builder.try_process_frame(f))
-                .collect::<Result<Vec<_>, _>>()?;
-            builder.try_segment_tensor(&cubes)
-        });
+        let frames: Vec<&RawFrame> = jobs.iter().flat_map(|job| &job.frames).collect();
+        let mut cubes = mmhand_parallel::par_map(&frames, |f| builder.try_process_frame(f))
+            .into_iter();
         // audit: pool-exempt — collects fallible per-job tensors
-        let mut tensors = Vec::with_capacity(built.len());
-        for t in built {
-            tensors.push(t?);
+        let mut tensors = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            let job_cubes =
+                cubes.by_ref().take(job.frames.len()).collect::<Result<Vec<_>, _>>()?;
+            tensors.push(builder.try_segment_tensor(&job_cubes)?);
         }
 
         // Stack segments along the batch axis: (N, st·V, D, A). Segment

@@ -2,9 +2,10 @@
 //!
 //! A counting global allocator sees every allocation this thread makes,
 //! including the ones the scratch pools' miss counters cannot (a clone of
-//! a filter, a `Vec` grown outside a pool). Once the pools are warm, one
-//! frame inside `sequential_scope` must allocate exactly once: the cube it
-//! returns.
+//! a filter, a `Vec` grown outside a pool, a task boxed for the thread
+//! pool). Once the pools are warm, one frame must allocate exactly once:
+//! the cube it returns. The frame's stages run inline, so this holds on a
+//! multi-thread pool too, and the test runs on one.
 
 use mmhand_core::{CubeBuilder, CubeConfig};
 use mmhand_math::rng::stream_rng;
@@ -86,16 +87,19 @@ fn steady_state_frame_allocates_only_its_output() {
     let mut rng = stream_rng(17, "cube-alloc");
     let frame = synthesize_frame(&chirp, &VirtualArray::new(&chirp), &scene, &mut rng);
 
-    mmhand_parallel::sequential_scope(|| {
-        // Warm-up: fills the scratch pools and resolves every cached
-        // handle (kernel backend, telemetry, plans).
-        let reference = builder.try_process_frame(&frame).expect("valid frame");
-        for _ in 0..3 {
-            builder.try_process_frame(&frame).expect("valid frame");
-        }
-        let (cube, allocations) = allocations_in(|| builder.try_process_frame(&frame));
-        let cube = cube.expect("valid frame");
-        assert_eq!(allocations, 1, "steady-state frame made {allocations} heap allocations");
-        assert_eq!(cube.data, reference.data, "warm frame differs from the first");
-    });
+    // A pool wider than one lane, whatever the machine: a frame that
+    // spawned pool tasks would box each one on this thread.
+    let _ = mmhand_parallel::configure_threads(4);
+    assert!(!mmhand_parallel::is_sequential(), "the pool must be wider than one lane");
+
+    // Warm-up: fills the scratch pools and resolves every cached handle
+    // (kernel backend, telemetry, plans).
+    let reference = builder.try_process_frame(&frame).expect("valid frame");
+    for _ in 0..3 {
+        builder.try_process_frame(&frame).expect("valid frame");
+    }
+    let (cube, allocations) = allocations_in(|| builder.try_process_frame(&frame));
+    let cube = cube.expect("valid frame");
+    assert_eq!(allocations, 1, "steady-state frame made {allocations} heap allocations");
+    assert_eq!(cube.data, reference.data, "warm frame differs from the first");
 }
