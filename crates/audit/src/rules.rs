@@ -27,7 +27,7 @@
 //! | `no_panic` | no `panic!` in non-test library code |
 //! | `determinism` | no `thread::spawn` / wall-clock reads / ad-hoc RNG seeding outside the sanctioned modules |
 //! | `float_eq` | no `==`/`!=` against floating-point literals |
-//! | `serve_hygiene` | the serve ingress surface must return typed errors: no `.expect(…)`/assertion macros in `crates/serve` lib code, no assertion macros in the public core entry points (`cube.rs`, `pipeline.rs`) |
+//! | `serve_hygiene` | the serve ingress surface must return typed errors: no `.expect(…)`/assertion macros in `crates/serve` lib code or the public core entry points (`cube.rs`, `pipeline.rs`) |
 //! | `hot_path_alloc` | no fresh allocations (`vec![…]`, `Vec::with_capacity`, `.to_vec()`) in the designated zero-allocation hot paths; use a `ScratchPool` or justify with `// audit: pool-exempt` |
 //! | `simd_dispatch` | every `#[target_feature]` fn lives in `crates/kernels` and is called only from other `#[target_feature]` fns, the cpuid guard, or methods of types constructed solely behind the guard |
 //! | `pool_lifecycle` | `ScratchPool` checkouts in the designated files are returned exactly once per function, or justified with `// audit: pool-escape(<reason>)` |
@@ -140,7 +140,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("no_panic", "no `panic!` in non-test library code; return errors or document via audit allow"),
     ("determinism", "no thread spawning, wall-clock reads, or RNG seeding outside mmhand-parallel, mmhand-math::rng, mmhand-telemetry::clock, and bench binaries"),
     ("float_eq", "no `==`/`!=` comparison against float literals; use an epsilon or restructure"),
-    ("serve_hygiene", "serve ingress returns typed errors: no `.expect(`/assertion macros in crates/serve lib code, no assertion macros in the core entry points (documented `try_*`-delegating `.expect` wrappers stay legal there)"),
+    ("serve_hygiene", "serve ingress returns typed errors: no `.expect(`/assertion macros in crates/serve lib code or the core entry points it is built on (core/src/cube.rs, core/src/pipeline.rs)"),
     ("hot_path_alloc", "no fresh allocations (`vec![`, `Vec::with_capacity`, `.to_vec()`) in the designated zero-allocation hot paths; check buffers out of a ScratchPool or justify with `// audit: pool-exempt`"),
     ("simd_dispatch", "`#[target_feature]` fns live in crates/kernels and are reachable only through the cpuid-guarded dispatch: callers must be target_feature fns, the guard fn itself, or methods of guard-constructed types"),
     ("pool_lifecycle", "ScratchPool checkouts in the designated files are returned exactly once per function; an intentional escape needs `// audit: pool-escape(<reason>)`"),
@@ -255,22 +255,20 @@ pub fn line_rules(path: &str, lines: &[Line], markers: &MarkerSet, out: &mut Out
 
             // serve_hygiene — the streaming service guarantees that no
             // malformed input reaching its ingress can panic, so its lib
-            // code (and the two core entry-point files it is built on) is
+            // code and the two core entry-point files it is built on are
             // held to a stricter standard than the workspace-wide panic
-            // rules. Inside `crates/serve` even a descriptive `.expect` is
-            // out: every fallible step must surface as `ServeError`. In the
-            // core entry points only the assertion macros are banned — the
-            // documented `try_*`-delegating `.expect` wrappers are the
-            // sanctioned panicking API there.
+            // rules: even a descriptive `.expect` is out, and every
+            // fallible step must surface as a typed error (`ServeError`
+            // in serve, `PipelineError` in core).
             if serve_strict(path) {
-                if path.starts_with("crates/serve/src/") && code.contains(".expect(") {
+                if code.contains(".expect(") {
                     out.deny(
                         markers,
                         "serve_hygiene",
                         path,
                         idx,
                         n,
-                        "`.expect(…)` on the serve ingress surface; return a `ServeError` instead".into(),
+                        "`.expect(…)` on the serve ingress surface; return a typed error instead".into(),
                     );
                 }
                 for mac in [
@@ -719,13 +717,16 @@ mod tests {
     }
 
     #[test]
-    fn serve_hygiene_core_entry_points_allow_documented_expect_wrappers() {
+    fn serve_hygiene_bans_expect_and_asserts_in_core_entry_points() {
         let cube = "crates/core/src/cube.rs";
         assert_eq!(rules_hit(cube, "assert_eq!(a, b);"), vec!["serve_hygiene"]);
         assert_eq!(rules_hit(cube, "unimplemented!()"), vec!["serve_hygiene"]);
-        // The `try_*`-delegating wrapper idiom keeps its descriptive expect.
-        assert!(rules_hit(cube, r#"self.try_new(c).expect("invalid cube configuration")"#)
-            .is_empty());
+        // The entry points have one fallible form each: even a descriptive
+        // expect is a finding.
+        assert_eq!(
+            rules_hit(cube, r#"self.try_new(c).expect("invalid cube configuration")"#),
+            vec!["serve_hygiene"]
+        );
         // Other core files are governed by the workspace-wide rules only.
         assert!(rules_hit("crates/core/src/train.rs", "assert!(ok);").is_empty());
     }

@@ -142,7 +142,7 @@ pub fn peak_position(cube: &CubeConfig, segment: &Tensor) -> Vec3 {
 mod tests {
     use super::*;
     use mmhand_core::cube::CubeBuilder;
-    use mmhand_core::dataset::session_to_sequences;
+    use mmhand_core::dataset::try_session_to_sequences;
     use mmhand_core::metrics::JointGroup;
     use mmhand_hand::gesture::Gesture;
     use mmhand_hand::trajectory::GestureTrack;
@@ -176,8 +176,8 @@ mod tests {
             ..Default::default()
         };
         let session = record_session(&user, &track, 24, &capture);
-        let builder = CubeBuilder::new(cube.clone());
-        let seqs = session_to_sequences(&builder, &session, 2, 1);
+        let builder = CubeBuilder::try_new(cube.clone()).unwrap();
+        let seqs = try_session_to_sequences(&builder, &session, 2, 1).unwrap();
         (cube, seqs)
     }
 

@@ -37,9 +37,9 @@ fn bench_cube_builder(c: &mut Criterion) {
     let user = UserProfile::generate(1, 42);
     let track = GestureTrack::from_gestures(&[Gesture::OpenPalm], Vec3::new(0.0, 0.3, 0.0), 1.0, 0.1);
     let session = record_session(&user, &track, 1, &CaptureConfig::default());
-    let builder = CubeBuilder::new(CubeConfig::default());
+    let builder = CubeBuilder::try_new(CubeConfig::default()).expect("default cube is valid");
     c.bench_function("cube_process_frame", |b| {
-        b.iter(|| builder.process_frame(&session.frames[0]))
+        b.iter(|| builder.try_process_frame(&session.frames[0]))
     });
 }
 
@@ -84,7 +84,7 @@ fn bench_mesh_reconstruction(c: &mut Criterion) {
     pose.position = Vec3::new(0.0, 0.3, 0.0);
     let skel: Vec<f32> = pose.joints(&shape).iter().flat_map(|v| v.to_array()).collect();
     c.bench_function("mesh_reconstruct_analytic", |b| {
-        b.iter(|| reconstructor.reconstruct_analytic(&skel))
+        b.iter(|| reconstructor.try_reconstruct_analytic(&skel))
     });
 }
 

@@ -62,11 +62,6 @@ impl TestCondition {
 ///
 /// Memoised per configuration within the process: `exp_all` calls this
 /// from many experiments and the synthesis cost is non-trivial.
-pub fn build_training_cohort(cfg: &ExperimentConfig) -> Vec<SegmentSequence> {
-    try_build_training_cohort(cfg).expect("experiment data configuration must be valid")
-}
-
-/// Fallible variant of [`build_training_cohort`].
 ///
 /// # Errors
 ///
@@ -126,11 +121,6 @@ fn build_training_cohort_uncached(
 
 /// Builds a test set under `condition` using `cfg.test_users` users and
 /// fresh gesture tracks (session tags disjoint from training).
-pub fn build_test_set(cfg: &ExperimentConfig, condition: &TestCondition) -> Vec<SegmentSequence> {
-    try_build_test_set(cfg, condition).expect("experiment data configuration must be valid")
-}
-
-/// Fallible variant of [`build_test_set`].
 ///
 /// # Errors
 ///
@@ -179,7 +169,7 @@ mod tests {
     #[test]
     fn quick_cohort_builds_sequences_for_all_users() {
         let cfg = ExperimentConfig::new(Scale::Quick);
-        let seqs = build_training_cohort(&cfg);
+        let seqs = try_build_training_cohort(&cfg).unwrap();
         assert!(!seqs.is_empty());
         let mut users: Vec<usize> = seqs.iter().map(|s| s.user_id).collect();
         users.sort_unstable();
@@ -190,9 +180,9 @@ mod tests {
     #[test]
     fn test_sets_differ_across_conditions() {
         let cfg = ExperimentConfig::new(Scale::Quick);
-        let a = build_test_set(&cfg, &TestCondition::nominal());
+        let a = try_build_test_set(&cfg, &TestCondition::nominal()).unwrap();
         let far = TestCondition::at_position("far", Vec3::new(0.0, 0.6, 0.0));
-        let b = build_test_set(&cfg, &far);
+        let b = try_build_test_set(&cfg, &far).unwrap();
         assert!(!a.is_empty() && !b.is_empty());
         // Labels come from different hand positions.
         assert!((a[0].labels[0][1] - b[0].labels[0][1]).abs() > 0.05);

@@ -8,7 +8,6 @@ use crate::config::ExperimentConfig;
 use crate::data::TestCondition;
 use crate::report;
 use crate::runner;
-use mmhand_core::cube::CubeBuilder;
 use mmhand_core::mesh::{MeshFitConfig, MeshReconstructor};
 use mmhand_core::pipeline::MmHandPipeline;
 use mmhand_core::PipelineError;
@@ -39,8 +38,10 @@ pub fn run(cfg: &ExperimentConfig) -> Result<(), PipelineError> {
         steps: if matches!(cfg.scale, crate::config::Scale::Quick) { 60 } else { 600 },
         ..Default::default()
     });
-    let mut pipeline =
-        MmHandPipeline::new(CubeBuilder::try_new(cfg.data.cube.clone())?, model, mesh);
+    let mut pipeline = MmHandPipeline::builder_for(model)
+        .cube_config(cfg.data.cube.clone())
+        .mesh(mesh)
+        .build()?;
     let dir = out_dir();
     if let Err(e) = fs::create_dir_all(&dir) {
         eprintln!("cannot create {dir:?}: {e}");

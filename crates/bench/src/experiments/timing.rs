@@ -11,7 +11,6 @@ use crate::config::ExperimentConfig;
 use crate::data::TestCondition;
 use crate::report;
 use crate::runner;
-use mmhand_core::cube::CubeBuilder;
 use mmhand_core::mesh::{MeshFitConfig, MeshReconstructor};
 use mmhand_core::pipeline::MmHandPipeline;
 use mmhand_core::PipelineError;
@@ -42,8 +41,10 @@ pub fn run(cfg: &ExperimentConfig) -> Result<(), PipelineError> {
         crate::config::Scale::Quick => 60,
     };
     mesh.fit(&MeshFitConfig { steps: fit_steps, ..Default::default() });
-    let mut pipeline =
-        MmHandPipeline::new(CubeBuilder::try_new(cfg.data.cube.clone())?, model, mesh);
+    let mut pipeline = MmHandPipeline::builder_for(model)
+        .cube_config(cfg.data.cube.clone())
+        .mesh(mesh)
+        .build()?;
 
     // One sequence-worth of frames per invocation.
     let frames_per_run = cfg.data.cube.frames_per_segment * cfg.data.seq_len;

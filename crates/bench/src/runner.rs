@@ -19,11 +19,6 @@ use mmhand_telemetry as telemetry;
 /// The reference model is used by every condition-sweep experiment
 /// (distance, angle, gloves, obstacles, …): the paper likewise trains on
 /// nominal-condition data and evaluates under the perturbed condition.
-pub fn reference_model(cfg: &ExperimentConfig) -> TrainedModel {
-    try_reference_model(cfg).expect("experiment configuration must be valid")
-}
-
-/// Fallible variant of [`reference_model`].
 ///
 /// # Errors
 ///
@@ -77,11 +72,6 @@ impl CvResults {
 
 /// Loads cached cross-validation errors or runs the paper's 5-fold
 /// leave-two-users-out protocol (scaled by `cfg.folds`).
-pub fn cv_results(cfg: &ExperimentConfig) -> CvResults {
-    try_cv_results(cfg).expect("experiment configuration must be valid")
-}
-
-/// Fallible variant of [`cv_results`].
 ///
 /// # Errors
 ///
@@ -156,18 +146,6 @@ pub type SequenceTransform<'a> =
 /// Trains a model variant on the first `users − holdout` users and returns
 /// its errors on the held-out users. Used by the ablation and surrogate
 /// comparisons so every variant shares one split. Results are cached.
-pub fn holdout_errors(
-    cfg: &ExperimentConfig,
-    variant_name: &str,
-    model: &mmhand_core::ModelConfig,
-    train: &TrainConfig,
-    transform: Option<SequenceTransform<'_>>,
-) -> JointErrors {
-    try_holdout_errors(cfg, variant_name, model, train, transform)
-        .expect("experiment configuration must be valid")
-}
-
-/// Fallible variant of [`holdout_errors`].
 ///
 /// # Errors
 ///
@@ -257,8 +235,8 @@ mod tests {
     fn quick_reference_model_trains_and_caches() {
         let cfg = ExperimentConfig::new(Scale::Quick);
         cache::invalidate(&format!("refmodel-{}", cfg.cache_key()));
-        let m1 = reference_model(&cfg);
-        let m2 = reference_model(&cfg);
+        let m1 = try_reference_model(&cfg).unwrap();
+        let m2 = try_reference_model(&cfg).unwrap();
         assert_eq!(m1.store.snapshot(), m2.store.snapshot());
     }
 }

@@ -132,17 +132,6 @@ impl CubeConfig {
         Ok(filter)
     }
 
-    /// Infallible wrapper over [`CubeConfig::try_design_bandpass`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured band cannot produce a stable 8th-order
-    /// design (validated configurations never do).
-    pub fn design_bandpass(&self) -> BandpassFilter {
-        self.try_design_bandpass()
-            .expect("hand-band Butterworth design must be valid")
-    }
-
     /// Validates geometry against the chirp configuration.
     ///
     /// # Errors
@@ -281,15 +270,6 @@ impl CubeBuilder {
         })
     }
 
-    /// Infallible wrapper over [`CubeBuilder::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.validate()` fails.
-    pub fn new(config: CubeConfig) -> Self {
-        Self::try_new(config).expect("invalid cube configuration")
-    }
-
     /// The configuration this builder was created with.
     pub fn config(&self) -> &CubeConfig {
         &self.config
@@ -322,16 +302,6 @@ impl CubeBuilder {
     pub fn try_process_frame(&self, frame: &RawFrame) -> Result<CubeFrame, PipelineError> {
         self.config.chirp.validate_frame(frame)?;
         Ok(self.process_frame_validated(frame))
-    }
-
-    /// Infallible wrapper over [`CubeBuilder::try_process_frame`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame's geometry does not match the configuration.
-    pub fn process_frame(&self, frame: &RawFrame) -> CubeFrame {
-        self.try_process_frame(frame)
-            .expect("frame geometry must match the cube configuration")
     }
 
     /// The processing body; callers have already validated frame geometry.
@@ -507,16 +477,6 @@ impl CubeBuilder {
         Ok(self.standardise_segment(data))
     }
 
-    /// Infallible wrapper over [`CubeBuilder::try_segment_tensor`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames.len() != st` or shapes disagree.
-    pub fn segment_tensor(&self, frames: &[CubeFrame]) -> Tensor {
-        self.try_segment_tensor(frames)
-            .expect("frames per segment and cube shapes must match the configuration")
-    }
-
     fn standardise_segment(&self, mut data: Vec<f32>) -> Tensor {
         let cfg = &self.config;
         let [_, d, a] = cfg.frame_shape();
@@ -543,7 +503,7 @@ mod tests {
     use mmhand_radar::Scene;
 
     fn builder() -> CubeBuilder {
-        CubeBuilder::new(CubeConfig::default())
+        CubeBuilder::try_new(CubeConfig::default()).unwrap()
     }
 
     fn frame_for_targets(targets: Vec<PointTarget>, noise: f32, seed: u64) -> RawFrame {
@@ -598,7 +558,7 @@ mod tests {
             0.0,
             1,
         );
-        let cube = b.process_frame(&frame);
+        let cube = b.try_process_frame(&frame).unwrap();
         let (_, d, _) = argmax3(&cube);
         let expected = ((range as f64 - b.config().range_min_m)
             / b.config().chirp.range_resolution_m())
@@ -617,7 +577,7 @@ mod tests {
             0.0,
             2,
         );
-        let cube = b.process_frame(&frame);
+        let cube = b.try_process_frame(&frame).unwrap();
         let (v, _, _) = argmax3(&cube);
         assert_eq!(v, b.config().doppler_bins / 2);
     }
@@ -634,7 +594,7 @@ mod tests {
             0.0,
             3,
         );
-        let cube = b.process_frame(&frame);
+        let cube = b.try_process_frame(&frame).unwrap();
         let (_, _, a) = argmax3(&cube);
         // +20° of a ±30° span over 8 bins → bin ≈ 6–7.
         assert!(a < b.config().azimuth_bins, "peak in azimuth half");
@@ -653,7 +613,7 @@ mod tests {
             0.0,
             4,
         );
-        let cube = b.process_frame(&frame);
+        let cube = b.try_process_frame(&frame).unwrap();
         let profile = cube.range_profile();
         // The hand bin must dominate the kept band despite far clutter being
         // 50× stronger in RCS.
@@ -679,21 +639,14 @@ mod tests {
                     0.01,
                     10 + i,
                 );
-                b.process_frame(&f)
+                b.try_process_frame(&f).unwrap()
             })
             .collect();
-        let t = b.segment_tensor(&frames);
+        let t = b.try_segment_tensor(&frames).unwrap();
         assert_eq!(t.shape(), &[32, 16, 16]);
         assert!(t.mean().abs() < 1e-4);
         let var = t.data().iter().map(|x| x * x).sum::<f32>() / t.len() as f32;
         assert!((var - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "frames per segment")]
-    fn segment_tensor_checks_count() {
-        let b = builder();
-        b.segment_tensor(&[]);
     }
 
     #[test]
@@ -761,12 +714,12 @@ mod tests {
         // produce NaNs anywhere downstream.
         let b = builder();
         let frame = RawFrame::zeroed(&b.config().chirp.clone());
-        let cube = b.process_frame(&frame);
+        let cube = b.try_process_frame(&frame).unwrap();
         assert!(cube.data.iter().all(|v| v.is_finite()));
         assert!(cube.data.iter().all(|&v| v.abs() < 1e-6));
         // Standardisation of an all-zero segment stays zero (epsilon guard).
         let frames = vec![cube.clone(), cube.clone(), cube.clone(), cube];
-        let t = b.segment_tensor(&frames);
+        let t = b.try_segment_tensor(&frames).unwrap();
         assert!(!t.has_non_finite());
         assert!(t.data().iter().all(|&v| v.abs() < 1e-3));
     }
@@ -787,7 +740,7 @@ mod tests {
                 }
             }
         }
-        let cube = b.process_frame(&frame);
+        let cube = b.try_process_frame(&frame).unwrap();
         assert!(cube.data.iter().all(|v| v.is_finite()));
     }
 

@@ -57,17 +57,6 @@ impl Batch {
 /// Frames are grouped into non-overlapping segments of the builder's
 /// `frames_per_segment`; leftover frames/segments are dropped. The label of
 /// a segment is the ground truth at its last frame.
-pub fn session_to_sequences(
-    builder: &CubeBuilder,
-    session: &CaptureSession,
-    seq_len: usize,
-    user_id: usize,
-) -> Vec<SegmentSequence> {
-    try_session_to_sequences(builder, session, seq_len, user_id)
-        .expect("sequence length must be positive and frames must match the cube geometry")
-}
-
-/// Fallible variant of [`session_to_sequences`].
 ///
 /// # Errors
 ///
@@ -127,38 +116,22 @@ pub fn try_session_to_sequences(
 ///
 /// # Panics
 ///
-/// Panics if sequences have differing lengths.
+/// Panics if sequences have differing lengths;
+/// [`Trainer::try_train`](crate::Trainer::try_train) checks this up front
+/// and returns [`PipelineError::MismatchedSequenceLength`] instead.
 pub fn make_batches<R: Rng + ?Sized>(
     sequences: &[SegmentSequence],
     batch_size: usize,
     rng: &mut R,
 ) -> Vec<Batch> {
-    try_make_batches(sequences, batch_size, rng).expect("all sequences must share a length")
-}
-
-/// Fallible variant of [`make_batches`].
-///
-/// # Errors
-///
-/// Returns [`PipelineError::MismatchedSequenceLength`] when sequences have
-/// differing lengths.
-pub fn try_make_batches<R: Rng + ?Sized>(
-    sequences: &[SegmentSequence],
-    batch_size: usize,
-    rng: &mut R,
-) -> Result<Vec<Batch>, PipelineError> {
     if sequences.is_empty() {
-        return Ok(Vec::new());
+        return Vec::new();
     }
     let seq_len = sequences[0].len();
-    for s in sequences {
-        if s.len() != seq_len {
-            return Err(PipelineError::MismatchedSequenceLength {
-                expected: seq_len,
-                got: s.len(),
-            });
-        }
-    }
+    assert!(
+        sequences.iter().all(|s| s.len() == seq_len),
+        "all sequences must share a length"
+    );
     let mut order: Vec<usize> = (0..sequences.len()).collect();
     order.shuffle(rng);
 
@@ -182,7 +155,7 @@ pub fn try_make_batches<R: Rng + ?Sized>(
         }
         batches.push(Batch { segments, labels });
     }
-    Ok(batches)
+    batches
 }
 
 #[cfg(test)]
@@ -209,9 +182,9 @@ mod tests {
 
     #[test]
     fn session_converts_to_sequences() {
-        let builder = CubeBuilder::new(CubeConfig::default());
+        let builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
         let session = quick_session(26); // 6 segments of 4, 2 frames dropped
-        let seqs = session_to_sequences(&builder, &session, 3, 1);
+        let seqs = try_session_to_sequences(&builder, &session, 3, 1).unwrap();
         assert_eq!(seqs.len(), 2);
         for s in &seqs {
             assert_eq!(s.len(), 3);
@@ -226,9 +199,9 @@ mod tests {
 
     #[test]
     fn labels_match_segment_end_frames() {
-        let builder = CubeBuilder::new(CubeConfig::default());
+        let builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
         let session = quick_session(8);
-        let seqs = session_to_sequences(&builder, &session, 2, 1);
+        let seqs = try_session_to_sequences(&builder, &session, 2, 1).unwrap();
         assert_eq!(seqs.len(), 1);
         // Segment 0 covers frames 0..4 → label is truth[3].
         let expected: Vec<f32> =
@@ -238,9 +211,9 @@ mod tests {
 
     #[test]
     fn batches_stack_and_shuffle() {
-        let builder = CubeBuilder::new(CubeConfig::default());
+        let builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
         let session = quick_session(40); // 10 segments → 5 sequences of 2
-        let seqs = session_to_sequences(&builder, &session, 2, 1);
+        let seqs = try_session_to_sequences(&builder, &session, 2, 1).unwrap();
         assert_eq!(seqs.len(), 5);
         let mut rng = stream_rng(1, "batch");
         let batches = make_batches(&seqs, 2, &mut rng);
@@ -259,25 +232,15 @@ mod tests {
 
     #[test]
     fn try_variants_return_typed_errors() {
-        let builder = CubeBuilder::new(CubeConfig::default());
+        let builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
         let session = quick_session(8);
         assert!(matches!(
             try_session_to_sequences(&builder, &session, 0, 1),
             Err(PipelineError::EmptyInput { what: "sequence length" })
         ));
-        let mut seqs = try_session_to_sequences(&builder, &session, 2, 1)
+        let seqs = try_session_to_sequences(&builder, &session, 2, 1)
             .expect("valid session converts");
         assert_eq!(seqs.len(), 1);
-        // A truncated sequence makes the dataset ragged.
-        let mut short = seqs[0].clone();
-        short.segments.pop();
-        short.labels.pop();
-        seqs.push(short);
-        let mut rng = stream_rng(5, "tb");
-        assert!(matches!(
-            try_make_batches(&seqs, 2, &mut rng),
-            Err(PipelineError::MismatchedSequenceLength { expected: 2, got: 1 })
-        ));
     }
 
     #[test]
@@ -285,9 +248,9 @@ mod tests {
         // The fan-out must be a pure reordering of work: every segment
         // tensor and label must be bitwise identical to the straightforward
         // serial construction on one shared builder.
-        let builder = CubeBuilder::new(CubeConfig::default());
+        let builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
         let session = quick_session(26);
-        let seqs = session_to_sequences(&builder, &session, 3, 1);
+        let seqs = try_session_to_sequences(&builder, &session, 3, 1).unwrap();
 
         let st = builder.config().frames_per_segment;
         let n_segments = session.len() / st;
@@ -317,9 +280,9 @@ mod tests {
 
     #[test]
     fn too_short_session_yields_nothing() {
-        let builder = CubeBuilder::new(CubeConfig::default());
+        let builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
         let session = quick_session(3); // under one segment
-        let seqs = session_to_sequences(&builder, &session, 1, 1);
+        let seqs = try_session_to_sequences(&builder, &session, 1, 1).unwrap();
         assert!(seqs.is_empty());
     }
 }

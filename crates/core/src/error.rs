@@ -1,24 +1,24 @@
-//! The workspace error hierarchy: [`PipelineError`] for the frame → cube →
-//! model → mesh path and the top-level [`MmHandError`] that unifies every
-//! crate's typed error.
+//! The one error type of the frame → cube → model → mesh path:
+//! [`PipelineError`].
 //!
 //! # Conventions
 //!
-//! * Fallible entry points are named `try_*` and return
-//!   `Result<_, PipelineError>` (or `MmHandError` at the workspace
-//!   boundary). The original panicking names remain as thin wrappers that
-//!   delegate to the `try_*` variant and `expect` the result, so batch
-//!   tools and examples that control their own inputs keep their
-//!   ergonomics.
-//! * Lower-level errors ([`RadarError`], [`DspError`], [`ShapeError`])
-//!   convert into [`PipelineError`] via `From`, so `?` composes across
-//!   crate boundaries.
+//! * One public form per entry point. Entry points that take frames,
+//!   configurations, sessions or datasets from outside the program are
+//!   named `try_*` and return `Result<_, PipelineError>`; there is no
+//!   panicking twin. Callers that control their own inputs (examples,
+//!   tests, experiment binaries) use `?` or `.expect(..)` at the call site.
+//! * Lower-level errors ([`RadarError`], [`DspError`]) convert into
+//!   [`PipelineError`] via `From`, so `?` composes across crate
+//!   boundaries. Graph shapes are fixed by the model configuration and
+//!   checked against the cube once, in
+//!   [`PipelineBuilder::build`](crate::PipelineBuilder::build), so no tape
+//!   shape error reaches this type.
 //! * Serving code must never unwrap on this path: malformed client input
 //!   has to surface as an `Err` (enforced by the `serve_hygiene` audit
 //!   rule and the serve property tests).
 
 use mmhand_dsp::DspError;
-use mmhand_nn::ShapeError;
 use mmhand_radar::RadarError;
 use std::fmt;
 
@@ -29,8 +29,6 @@ pub enum PipelineError {
     Radar(RadarError),
     /// DSP failure (filter design, degenerate signal).
     Dsp(DspError),
-    /// Tensor shape violation from the network layer.
-    Shape(ShapeError),
     /// A pipeline-level configuration field is inconsistent.
     InvalidConfig {
         /// The offending field (or field group).
@@ -90,7 +88,6 @@ impl fmt::Display for PipelineError {
         match self {
             PipelineError::Radar(e) => write!(f, "{e}"),
             PipelineError::Dsp(e) => write!(f, "{e}"),
-            PipelineError::Shape(e) => write!(f, "{e}"),
             PipelineError::InvalidConfig { field, reason } => {
                 write!(f, "invalid pipeline configuration ({field}): {reason}")
             }
@@ -122,7 +119,6 @@ impl std::error::Error for PipelineError {
         match self {
             PipelineError::Radar(e) => Some(e),
             PipelineError::Dsp(e) => Some(e),
-            PipelineError::Shape(e) => Some(e),
             _ => None,
         }
     }
@@ -140,71 +136,6 @@ impl From<DspError> for PipelineError {
     }
 }
 
-impl From<ShapeError> for PipelineError {
-    fn from(e: ShapeError) -> Self {
-        PipelineError::Shape(e)
-    }
-}
-
-/// The workspace-level error: every crate's typed error, unified.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MmHandError {
-    /// Radar configuration / frame geometry error.
-    Radar(RadarError),
-    /// DSP error.
-    Dsp(DspError),
-    /// Tensor shape error.
-    Shape(ShapeError),
-    /// Pipeline error.
-    Pipeline(PipelineError),
-}
-
-impl fmt::Display for MmHandError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MmHandError::Radar(e) => write!(f, "{e}"),
-            MmHandError::Dsp(e) => write!(f, "{e}"),
-            MmHandError::Shape(e) => write!(f, "{e}"),
-            MmHandError::Pipeline(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for MmHandError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MmHandError::Radar(e) => Some(e),
-            MmHandError::Dsp(e) => Some(e),
-            MmHandError::Shape(e) => Some(e),
-            MmHandError::Pipeline(e) => Some(e),
-        }
-    }
-}
-
-impl From<RadarError> for MmHandError {
-    fn from(e: RadarError) -> Self {
-        MmHandError::Radar(e)
-    }
-}
-
-impl From<DspError> for MmHandError {
-    fn from(e: DspError) -> Self {
-        MmHandError::Dsp(e)
-    }
-}
-
-impl From<ShapeError> for MmHandError {
-    fn from(e: ShapeError) -> Self {
-        MmHandError::Shape(e)
-    }
-}
-
-impl From<PipelineError> for MmHandError {
-    fn from(e: PipelineError) -> Self {
-        MmHandError::Pipeline(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,12 +143,10 @@ mod tests {
     #[test]
     fn lower_level_errors_convert_upward() {
         let radar = RadarError::FrameGeometry { axis: "tx_count", expected: 3, got: 2 };
-        let p: PipelineError = radar.clone().into();
+        let p: PipelineError = radar.into();
         assert!(matches!(p, PipelineError::Radar(_)));
-        let m: MmHandError = p.clone().into();
-        assert!(matches!(m, MmHandError::Pipeline(PipelineError::Radar(_))));
-        let m2: MmHandError = radar.into();
-        assert!(matches!(m2, MmHandError::Radar(_)));
+        let d: PipelineError = DspError::EmptySignal { op: "fft" }.into();
+        assert!(matches!(d, PipelineError::Dsp(_)));
     }
 
     #[test]
@@ -238,12 +167,6 @@ mod tests {
             reason: "must be positive".into(),
         });
         assert!(p.source().is_some());
-        let m = MmHandError::Pipeline(p);
-        assert!(m.source().is_some());
-        assert!(MmHandError::Pipeline(PipelineError::EmptyInput { what: "frames" })
-            .source()
-            .expect("pipeline variant has a source")
-            .source()
-            .is_none());
+        assert!(PipelineError::EmptyInput { what: "frames" }.source().is_none());
     }
 }

@@ -6,7 +6,7 @@ use crate::dataset::SegmentSequence;
 use crate::error::PipelineError;
 use crate::metrics::JointErrors;
 use crate::model::ModelConfig;
-use crate::train::{TrainConfig, TrainedModel, Trainer};
+use crate::train::{TrainConfig, Trainer};
 use mmhand_math::Vec3;
 use mmhand_radar::capture::{record_session, CaptureConfig};
 use mmhand_radar::CaptureSession;
@@ -77,11 +77,6 @@ pub fn record_user_session(config: &DataConfig, user: &UserProfile, session_tag:
 /// Users are recorded and cube-processed concurrently on the
 /// [`mmhand_parallel`] pool; results are concatenated in user order, so the
 /// output is identical at any thread count.
-pub fn build_cohort(config: &DataConfig) -> Vec<SegmentSequence> {
-    try_build_cohort(config).expect("cohort configuration must be valid")
-}
-
-/// Fallible variant of [`build_cohort`].
 ///
 /// # Errors
 ///
@@ -113,33 +108,25 @@ pub struct CrossValidation {
 /// into `folds` groups in id order; each fold trains on the remaining
 /// groups and tests on its own.
 ///
-/// # Panics
-///
-/// Panics if the dataset is empty or has fewer distinct users than folds
-/// (delegates to [`try_cross_validate`]).
-pub fn cross_validate(
-    sequences: &[SegmentSequence],
-    model_cfg: &ModelConfig,
-    train_cfg: &TrainConfig,
-    folds: usize,
-) -> CrossValidation {
-    try_cross_validate(sequences, model_cfg, train_cfg, folds)
-        .expect("need at least `folds` users and a non-empty dataset")
-}
-
-/// Fallible variant of [`cross_validate`].
-///
 /// # Errors
 ///
-/// Returns [`PipelineError::EmptyInput`] for an empty dataset and
-/// [`PipelineError::TooFewUsers`] when the cohort has fewer distinct users
-/// than folds.
+/// Returns [`PipelineError::InvalidConfig`] for `folds < 2` (one fold
+/// would leave nothing to train on), [`PipelineError::EmptyInput`] for an
+/// empty dataset, [`PipelineError::TooFewUsers`] when the cohort has fewer
+/// distinct users than folds, and the first fold's training error in fold
+/// order.
 pub fn try_cross_validate(
     sequences: &[SegmentSequence],
     model_cfg: &ModelConfig,
     train_cfg: &TrainConfig,
     folds: usize,
 ) -> Result<CrossValidation, PipelineError> {
+    if folds < 2 {
+        return Err(PipelineError::InvalidConfig {
+            field: "folds",
+            reason: format!("cross-validation needs at least 2 folds, got {folds}"),
+        });
+    }
     if sequences.is_empty() {
         return Err(PipelineError::EmptyInput { what: "cross-validation sequences" });
     }
@@ -172,30 +159,20 @@ pub fn try_cross_validate(
             model_cfg.clone(),
             TrainConfig { seed: train_cfg.seed ^ fold as u64, ..train_cfg.clone() },
         );
-        let model = trainer.train(&train_set);
-        model.evaluate_per_user(&test_set)
+        let model = trainer.try_train(&train_set)?;
+        Ok::<_, PipelineError>(model.evaluate_per_user(&test_set))
     });
 
     let mut per_user: Vec<(usize, JointErrors)> = Vec::new();
     let mut overall = JointErrors::new();
     for fold_users in fold_results {
-        for (user, errs) in fold_users {
+        for (user, errs) in fold_users? {
             overall.merge(&errs);
             per_user.push((user, errs));
         }
     }
     per_user.sort_by_key(|(u, _)| *u);
     Ok(CrossValidation { per_user, overall })
-}
-
-/// Trains one model on the full cohort (used by the condition-sweep
-/// experiments, where test conditions differ from training conditions).
-pub fn train_reference_model(
-    sequences: &[SegmentSequence],
-    model_cfg: &ModelConfig,
-    train_cfg: &TrainConfig,
-) -> TrainedModel {
-    Trainer::new(model_cfg.clone(), train_cfg.clone()).train(sequences)
 }
 
 #[cfg(test)]
@@ -246,7 +223,7 @@ mod tests {
     #[test]
     fn cohort_covers_all_users() {
         let cfg = tiny_data_config();
-        let seqs = build_cohort(&cfg);
+        let seqs = try_build_cohort(&cfg).unwrap();
         let mut users: Vec<usize> = seqs.iter().map(|s| s.user_id).collect();
         users.sort_unstable();
         users.dedup();
@@ -256,13 +233,14 @@ mod tests {
     #[test]
     fn cross_validation_tests_every_user_out_of_fold() {
         let cfg = tiny_data_config();
-        let seqs = build_cohort(&cfg);
-        let cv = cross_validate(
+        let seqs = try_build_cohort(&cfg).unwrap();
+        let cv = try_cross_validate(
             &seqs,
             &tiny_model(&cfg),
             &TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
             2,
-        );
+        )
+        .unwrap();
         let tested: Vec<usize> = cv.per_user.iter().map(|(u, _)| *u).collect();
         assert_eq!(tested, vec![1, 2, 3, 4]);
         assert!(!cv.overall.is_empty());
@@ -272,16 +250,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "need at least")]
-    fn too_few_users_panics() {
+    fn too_few_folds_or_users_are_typed_errors() {
+        // Zero folds would divide by zero and one fold would train on
+        // nothing: both are rejected before any training starts.
         let cfg = tiny_data_config();
-        let seqs = build_cohort(&cfg);
-        cross_validate(
-            &seqs,
-            &tiny_model(&cfg),
-            &TrainConfig { epochs: 1, ..Default::default() },
-            9,
-        );
+        let seqs = try_build_cohort(&cfg).unwrap();
+        let model_cfg = tiny_model(&cfg);
+        let train_cfg = TrainConfig { epochs: 1, ..Default::default() };
+        for folds in [0, 1] {
+            assert!(matches!(
+                try_cross_validate(&seqs, &model_cfg, &train_cfg, folds),
+                Err(PipelineError::InvalidConfig { field: "folds", .. })
+            ));
+        }
+        assert!(matches!(
+            try_cross_validate(&seqs, &model_cfg, &train_cfg, 9),
+            Err(PipelineError::TooFewUsers { folds: 9, users: 4 })
+        ));
     }
 
     #[test]

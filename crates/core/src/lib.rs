@@ -39,9 +39,10 @@
 //!     0.2,
 //! );
 //! let session = record_session(&user, &track, 4, &CaptureConfig::default());
-//! let mut builder = CubeBuilder::new(CubeConfig::default());
-//! let cube = builder.process_frame(&session.frames[0]);
+//! let builder = CubeBuilder::try_new(CubeConfig::default())?;
+//! let cube = builder.try_process_frame(&session.frames[0])?;
 //! assert_eq!(cube.shape, [8, 16, 16]);
+//! # Ok::<(), mmhand_core::PipelineError>(())
 //! ```
 
 pub mod cube;
@@ -59,8 +60,8 @@ pub mod train;
 
 pub use cube::{CubeBuilder, CubeConfig, CubeFrame};
 pub use dataset::{Batch, SegmentSequence};
-pub use error::{MmHandError, PipelineError};
-pub use eval::{build_cohort, cross_validate, CrossValidation, DataConfig};
+pub use error::PipelineError;
+pub use eval::{try_build_cohort, try_cross_validate, CrossValidation, DataConfig};
 pub use loss::LossWeights;
 pub use mesh::{MeshReconstructor, ReconstructedHand};
 pub use metrics::{JointErrors, JointGroup};

@@ -12,9 +12,10 @@
 //! Both networks are trained on synthetic `(β, θ) → joints` pairs from the
 //! hand model — the end-to-end inverse-kinematics learning of the paper —
 //! with the analytic solver ([`mmhand_hand::ik`]) providing the quaternion
-//! targets. [`MeshReconstructor::reconstruct_analytic`] exposes the purely
+//! targets. [`MeshReconstructor::try_reconstruct_analytic`] exposes the purely
 //! analytic path as a deterministic fallback/baseline.
 
+use crate::error::PipelineError;
 use mmhand_hand::ik::solve_ik;
 use mmhand_hand::mano::{ManoModel, Mesh};
 use mmhand_hand::pose::HandPose;
@@ -237,29 +238,19 @@ impl MeshReconstructor {
     pub fn try_reconstruct(
         &self,
         skeleton: &[f32],
-    ) -> Result<ReconstructedHand, crate::error::PipelineError> {
+    ) -> Result<ReconstructedHand, PipelineError> {
         if skeleton.len() != 63 {
-            return Err(crate::error::PipelineError::SkeletonLength {
+            return Err(PipelineError::SkeletonLength {
                 expected: 63,
                 got: skeleton.len(),
             });
         }
         if !self.fitted {
-            return Err(crate::error::PipelineError::NotFitted {
+            return Err(PipelineError::NotFitted {
                 what: "MeshReconstructor",
             });
         }
         Ok(self.reconstruct_validated(skeleton))
-    }
-
-    /// Infallible wrapper over [`MeshReconstructor::try_reconstruct`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `skeleton.len() != 63` or the networks are unfitted.
-    pub fn reconstruct(&self, skeleton: &[f32]) -> ReconstructedHand {
-        self.try_reconstruct(skeleton)
-            .expect("skeleton length and fit() state; or use reconstruct_analytic()")
     }
 
     fn reconstruct_validated(&self, skeleton: &[f32]) -> ReconstructedHand {
@@ -299,9 +290,9 @@ impl MeshReconstructor {
     pub fn try_reconstruct_analytic(
         &self,
         skeleton: &[f32],
-    ) -> Result<ReconstructedHand, crate::error::PipelineError> {
+    ) -> Result<ReconstructedHand, PipelineError> {
         if skeleton.len() != 63 {
-            return Err(crate::error::PipelineError::SkeletonLength {
+            return Err(PipelineError::SkeletonLength {
                 expected: 63,
                 got: skeleton.len(),
             });
@@ -317,16 +308,6 @@ impl MeshReconstructor {
         }
         let ik = solve_ik(self.mano.rest_joints(), &joints);
         Ok(self.assemble([0.0; BETA_DIM], ik.theta, wrist))
-    }
-
-    /// Infallible wrapper over
-    /// [`MeshReconstructor::try_reconstruct_analytic`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `skeleton.len() != 63`.
-    pub fn reconstruct_analytic(&self, skeleton: &[f32]) -> ReconstructedHand {
-        self.try_reconstruct_analytic(skeleton).expect("skeleton length")
     }
 
     fn assemble(
@@ -375,7 +356,7 @@ mod tests {
         let r = MeshReconstructor::new(1);
         for g in [Gesture::OpenPalm, Gesture::Fist, Gesture::Point] {
             let skel = skeleton_for(g, Vec3::new(0.05, 0.3, -0.02));
-            let rec = r.reconstruct_analytic(&skel);
+            let rec = r.try_reconstruct_analytic(&skel).unwrap();
             let err = mean_joint_error(&rec, &skel);
             assert!(err < 0.006, "{g:?} error {err}");
             assert!(!rec.mesh.vertices.is_empty());
@@ -387,18 +368,10 @@ mod tests {
         let r = MeshReconstructor::new(2);
         let offset = Vec3::new(0.1, 0.35, 0.05);
         let skel = skeleton_for(Gesture::OpenPalm, offset);
-        let rec = r.reconstruct_analytic(&skel);
+        let rec = r.try_reconstruct_analytic(&skel).unwrap();
         let (lo, hi) = rec.mesh.bounds();
         let centre = (lo + hi) * 0.5;
         assert!(centre.distance(offset) < 0.15, "mesh centre {centre}");
-    }
-
-    #[test]
-    #[should_panic(expected = "fit()")]
-    fn unfitted_network_reconstruction_panics() {
-        let r = MeshReconstructor::new(3);
-        let skel = skeleton_for(Gesture::OpenPalm, Vec3::ZERO);
-        r.reconstruct(&skel);
     }
 
     #[test]
@@ -434,7 +407,7 @@ mod tests {
         // not be wildly worse than the analytic path.
         for g in [Gesture::OpenPalm, Gesture::Count(2)] {
             let skel = skeleton_for(g, Vec3::new(0.0, 0.3, 0.0));
-            let rec = r.reconstruct(&skel);
+            let rec = r.try_reconstruct(&skel).unwrap();
             let err = mean_joint_error(&rec, &skel);
             assert!(err < 0.025, "{g:?} network reconstruction error {err}");
             assert!(rec.beta.iter().all(|b| b.is_finite()));
@@ -445,7 +418,7 @@ mod tests {
     fn bent_gesture_produces_bent_theta() {
         let r = MeshReconstructor::new(5);
         let skel = skeleton_for(Gesture::Fist, Vec3::new(0.0, 0.3, 0.0));
-        let rec = r.reconstruct_analytic(&skel);
+        let rec = r.try_reconstruct_analytic(&skel).unwrap();
         // Finger joints should carry substantial rotations for a fist.
         let total_rotation: f32 = rec.theta.iter().map(|t| t.norm()).sum();
         assert!(total_rotation > 3.0, "total rotation {total_rotation}");

@@ -301,9 +301,9 @@ impl TemporalModel {
     /// Regresses joints for one feature step from explicit LSTM state,
     /// returning `(output, h, c)` with the advanced state.
     ///
-    /// The op sequence matches one iteration of [`forward`], so stepping a
-    /// stream segment-by-segment from zero state reproduces the
-    /// whole-sequence forward bitwise. With the LSTM ablated the state
+    /// The op sequence matches one iteration of [`forward`](Self::forward),
+    /// so stepping a stream segment-by-segment from zero state reproduces
+    /// the whole-sequence forward bitwise. With the LSTM ablated the state
     /// passes through untouched and the MLP head runs stateless.
     pub fn forward_step(
         &self,
@@ -384,7 +384,7 @@ impl MmHandModel {
     ///
     /// `segment` is a `(N, st·V, D, A)` tensor; `h`/`c` are `(N, hidden)`
     /// state leaves (zeros at stream start). Stepping a stream through this
-    /// reproduces [`forward`] over the same segments bitwise.
+    /// reproduces [`forward`](Self::forward) over the same segments bitwise.
     pub fn forward_step(
         &self,
         tape: &mut Tape,

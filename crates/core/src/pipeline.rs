@@ -3,7 +3,7 @@
 //! instrumentation behind the paper's Fig. 26.
 
 use crate::cube::{CubeBuilder, CubeConfig};
-use crate::error::{MmHandError, PipelineError};
+use crate::error::PipelineError;
 use crate::mesh::{MeshReconstructor, ReconstructedHand};
 use crate::precision::Precision;
 use crate::train::TrainedModel;
@@ -81,15 +81,17 @@ pub struct MmHandPipeline {
 }
 
 impl MmHandPipeline {
-    /// Assembles an f32 pipeline from trained parts.
-    pub fn new(builder: CubeBuilder, model: TrainedModel, mesh: MeshReconstructor) -> Self {
-        MmHandPipeline { builder, model, mesh, precision: Precision::F32, quant: None }
-    }
-
-    /// Starts a [`PipelineBuilder`] — the fallible, validating way to
-    /// assemble a pipeline.
+    /// Starts a [`PipelineBuilder`], the one way to assemble a pipeline.
     pub fn builder_for(model: TrainedModel) -> PipelineBuilder {
-        PipelineBuilder::new(model)
+        PipelineBuilder {
+            model,
+            cube: None,
+            mesh: None,
+            mesh_seed: 0,
+            precision: None,
+            quant: None,
+            calibration: Vec::new(),
+        }
     }
 
     /// The cube builder (e.g. to inspect configuration).
@@ -170,16 +172,6 @@ impl MmHandPipeline {
         cubes.chunks_exact(st).map(|seg| builder.try_segment_tensor(seg)).collect()
     }
 
-    /// Infallible wrapper over [`MmHandPipeline::try_frames_to_segments`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched frame geometry.
-    pub fn frames_to_segments(&mut self, frames: &[RawFrame]) -> Vec<Tensor> {
-        self.try_frames_to_segments(frames)
-            .expect("frame geometry must match the pipeline configuration")
-    }
-
     /// Regresses skeletons only (no meshes) with timing.
     ///
     /// Timing comes from telemetry spans (`pipeline.cube_build`,
@@ -208,16 +200,6 @@ impl MmHandPipeline {
         Ok((skeletons, StageTiming::from_span_ns(cube_ns, regress_ns, 0)))
     }
 
-    /// Infallible wrapper over [`MmHandPipeline::try_estimate_skeletons`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched frame geometry.
-    pub fn estimate_skeletons(&mut self, frames: &[RawFrame]) -> (Vec<Vec<f32>>, StageTiming) {
-        self.try_estimate_skeletons(frames)
-            .expect("frame geometry must match the pipeline configuration")
-    }
-
     /// Full pipeline: skeletons plus reconstructed meshes.
     ///
     /// Uses the fitted mesh networks when available, the analytic IK path
@@ -244,30 +226,21 @@ impl MmHandPipeline {
         timing.mesh_ms = mesh_ns as f64 / 1e6;
         Ok(PipelineOutput { skeletons, hands, timing })
     }
-
-    /// Infallible wrapper over [`MmHandPipeline::try_estimate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched frame geometry.
-    pub fn estimate(&mut self, frames: &[RawFrame]) -> PipelineOutput {
-        self.try_estimate(frames)
-            .expect("frame geometry must match the pipeline configuration")
-    }
 }
 
-/// Fallible, validating assembly of an [`MmHandPipeline`], replacing the
-/// positional [`MmHandPipeline::new`] constructor on the serving path.
+/// The one way to assemble an [`MmHandPipeline`]: fallible and validating.
 ///
 /// The builder cross-checks that the cube geometry and the trained model's
 /// architecture agree (segment channels, range bins, angle bins), so a
 /// mismatched pairing is rejected at build time instead of panicking deep
-/// inside the first forward pass.
+/// inside the first forward pass. This is the one check of graph shapes
+/// against the input geometry: the tape's graph builders have no fallible
+/// form and panic on a shape mismatch, which a built pipeline cannot meet.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// # fn doc(model: mmhand_core::TrainedModel) -> Result<(), mmhand_core::MmHandError> {
+/// # fn doc(model: mmhand_core::TrainedModel) -> Result<(), mmhand_core::PipelineError> {
 /// use mmhand_core::{CubeConfig, MmHandPipeline};
 ///
 /// let pipeline = MmHandPipeline::builder_for(model)
@@ -288,19 +261,6 @@ pub struct PipelineBuilder {
 }
 
 impl PipelineBuilder {
-    /// Starts a builder around a trained model.
-    pub fn new(model: TrainedModel) -> Self {
-        PipelineBuilder {
-            model,
-            cube: None,
-            mesh: None,
-            mesh_seed: 0,
-            precision: None,
-            quant: None,
-            calibration: Vec::new(),
-        }
-    }
-
     /// Sets the cube geometry (defaults to [`CubeConfig::default`]).
     pub fn cube_config(mut self, cube: CubeConfig) -> Self {
         self.cube = Some(cube);
@@ -359,13 +319,13 @@ impl PipelineBuilder {
     /// Returns the first cube-configuration violation, or
     /// [`PipelineError::InvalidConfig`] when the cube geometry and the
     /// model architecture disagree.
-    pub fn build(self) -> Result<MmHandPipeline, MmHandError> {
+    pub fn build(self) -> Result<MmHandPipeline, PipelineError> {
         let cube_cfg = self.cube.unwrap_or_default();
         let builder = CubeBuilder::try_new(cube_cfg)?;
         let cfg = builder.config();
         let model_cfg = &self.model.model.config;
         let invalid = |field: &'static str, reason: String| {
-            Err(MmHandError::Pipeline(PipelineError::InvalidConfig { field, reason }))
+            Err(PipelineError::InvalidConfig { field, reason })
         };
         if model_cfg.input_channels() != cfg.segment_channels() {
             return invalid(
@@ -434,10 +394,10 @@ impl PipelineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube::{CubeBuilder, CubeConfig};
-    use crate::eval::{build_cohort, train_reference_model, DataConfig};
+    use crate::cube::CubeConfig;
+    use crate::eval::{try_build_cohort, DataConfig};
     use crate::model::ModelConfig;
-    use crate::train::TrainConfig;
+    use crate::train::{TrainConfig, Trainer};
     use mmhand_hand::gesture::Gesture;
     use mmhand_hand::trajectory::GestureTrack;
     use mmhand_hand::user::UserProfile;
@@ -479,17 +439,14 @@ mod tests {
             lstm_hidden: 24,
             ..data.model_config()
         };
-        let seqs = build_cohort(&data);
-        let model = train_reference_model(
-            &seqs,
-            &model_cfg,
-            &TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
-        );
-        let pipeline = MmHandPipeline::new(
-            CubeBuilder::new(cube),
-            model,
-            crate::mesh::MeshReconstructor::new(0),
-        );
+        let seqs = try_build_cohort(&data).unwrap();
+        let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
+        let model = Trainer::new(model_cfg, train_cfg).try_train(&seqs).unwrap();
+        let pipeline = MmHandPipeline::builder_for(model)
+            .cube_config(cube)
+            .mesh(crate::mesh::MeshReconstructor::new(0))
+            .build()
+            .unwrap();
         // A fresh capture to run inference on.
         let user = UserProfile::generate(1, 3);
         let track = GestureTrack::from_gestures(
@@ -510,7 +467,7 @@ mod tests {
     #[test]
     fn pipeline_produces_skeletons_and_meshes() {
         let (mut pipeline, frames) = tiny_pipeline();
-        let out = pipeline.estimate(&frames);
+        let out = pipeline.try_estimate(&frames).unwrap();
         assert_eq!(out.skeletons.len(), 4); // 8 frames / 2 per segment
         assert_eq!(out.hands.len(), 4);
         for s in &out.skeletons {
@@ -528,7 +485,7 @@ mod tests {
     #[test]
     fn skeleton_only_path_skips_mesh_time() {
         let (mut pipeline, frames) = tiny_pipeline();
-        let (skeletons, timing) = pipeline.estimate_skeletons(&frames);
+        let (skeletons, timing) = pipeline.try_estimate_skeletons(&frames).unwrap();
         assert_eq!(skeletons.len(), 4);
         assert_eq!(timing.mesh_ms, 0.0);
     }
@@ -536,7 +493,7 @@ mod tests {
     #[test]
     fn empty_input_is_safe() {
         let (mut pipeline, _) = tiny_pipeline();
-        let out = pipeline.estimate(&[]);
+        let out = pipeline.try_estimate(&[]).unwrap();
         assert!(out.skeletons.is_empty());
         assert!(out.hands.is_empty());
     }
@@ -544,7 +501,7 @@ mod tests {
     #[test]
     fn stage_timing_is_a_view_over_spans() {
         let (mut pipeline, frames) = tiny_pipeline();
-        let out = pipeline.estimate(&frames);
+        let out = pipeline.try_estimate(&frames).unwrap();
         let t = out.timing;
         // The skeleton stage is exactly the sum of its two spans.
         assert!((t.cube_ms + t.regress_ms - t.skeleton_ms).abs() < 1e-9);
@@ -576,7 +533,7 @@ mod tests {
     #[test]
     fn partial_segment_is_dropped() {
         let (mut pipeline, frames) = tiny_pipeline();
-        let out = pipeline.estimate(&frames[..3]); // 1.5 segments
+        let out = pipeline.try_estimate(&frames[..3]).unwrap(); // 1.5 segments
         assert_eq!(out.skeletons.len(), 1);
     }
 
@@ -586,7 +543,7 @@ mod tests {
         pipeline: &mut MmHandPipeline,
         frames: &[mmhand_radar::RawFrame],
     ) -> MmHandPipeline {
-        let segments = pipeline.frames_to_segments(frames);
+        let segments = pipeline.try_frames_to_segments(frames).unwrap();
         MmHandPipeline::builder_for(pipeline.model().clone())
             .cube_config(pipeline.builder().config().clone())
             .precision(crate::precision::Precision::Int8)
@@ -602,8 +559,8 @@ mod tests {
         assert_eq!(quantized.precision(), crate::precision::Precision::Int8);
         assert!(quantized.quantized().is_some());
 
-        let (f32_out, _) = pipeline.estimate_skeletons(&frames);
-        let (int8_out, _) = quantized.estimate_skeletons(&frames);
+        let (f32_out, _) = pipeline.try_estimate_skeletons(&frames).unwrap();
+        let (int8_out, _) = quantized.try_estimate_skeletons(&frames).unwrap();
         assert_eq!(f32_out.len(), int8_out.len());
         let mut worst = 0.0f32;
         let (mut sum, mut count) = (0.0f64, 0u64);
@@ -653,7 +610,7 @@ mod tests {
         // int8 inference equals batch int8 inference bitwise.
         let (mut pipeline, frames) = tiny_pipeline();
         let quantized = quantize_pipeline(&mut pipeline, &frames);
-        let segments = pipeline.frames_to_segments(&frames);
+        let segments = pipeline.try_frames_to_segments(&frames).unwrap();
         assert_step_matches_sequence(&quantized, &segments);
     }
 
@@ -661,7 +618,7 @@ mod tests {
     fn f32_step_matches_f32_sequence_bitwise() {
         let (mut pipeline, frames) = tiny_pipeline();
         assert_eq!(pipeline.precision(), crate::precision::Precision::F32);
-        let segments = pipeline.frames_to_segments(&frames);
+        let segments = pipeline.try_frames_to_segments(&frames).unwrap();
         assert_step_matches_sequence(&pipeline, &segments);
     }
 
@@ -676,7 +633,7 @@ mod tests {
             panic!("uncalibrated explicit int8 must not build");
         };
         match err {
-            MmHandError::Pipeline(PipelineError::InvalidConfig { field, reason }) => {
+            PipelineError::InvalidConfig { field, reason } => {
                 assert_eq!(field, "precision");
                 assert!(reason.contains("calibration"), "{reason}");
             }

@@ -360,28 +360,25 @@ impl Trainer {
 
     /// Runs training and returns the fitted model.
     ///
-    /// # Panics
-    ///
-    /// Panics if `sequences` is empty (delegates to
-    /// [`Trainer::try_train`]).
-    pub fn train(&self, sequences: &[SegmentSequence]) -> TrainedModel {
-        self.try_train(sequences).expect("cannot train on an empty dataset")
-    }
-
-    /// Fallible variant of [`Trainer::train`].
-    ///
     /// # Errors
     ///
     /// Returns [`PipelineError::EmptyInput`] when the dataset is empty or
     /// any sequence holds zero segments — the silent-truncation hazard
     /// where an undersized frame window drops every segment and a sweep
-    /// would otherwise abort mid-run.
+    /// would otherwise abort mid-run — and
+    /// [`PipelineError::MismatchedSequenceLength`] when the sequences do not
+    /// all share one length (batches stack them step by step).
     pub fn try_train(&self, sequences: &[SegmentSequence]) -> Result<TrainedModel, PipelineError> {
         if sequences.is_empty() {
             return Err(PipelineError::EmptyInput { what: "training sequences" });
         }
         if sequences.iter().any(|s| s.is_empty()) {
             return Err(PipelineError::EmptyInput { what: "segments in a training sequence" });
+        }
+        let seq_len = sequences[0].len();
+        if let Some(s) = sequences.iter().find(|s| s.len() != seq_len) {
+            let got = s.len();
+            return Err(PipelineError::MismatchedSequenceLength { expected: seq_len, got });
         }
         let tc = &self.train_config;
         // Train in the wrist-relative label encoding (see [`to_relative`]).
@@ -586,7 +583,7 @@ pub fn mean_pose_baseline(sequences: &[SegmentSequence]) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::cube::{CubeBuilder, CubeConfig};
-    use crate::dataset::session_to_sequences;
+    use crate::dataset::try_session_to_sequences;
     use mmhand_hand::gesture::Gesture;
     use mmhand_hand::trajectory::GestureTrack;
     use mmhand_hand::user::UserProfile;
@@ -637,8 +634,8 @@ mod tests {
             ..Default::default()
         };
         let session = record_session(&user, &track, n_frames, &capture);
-        let builder = CubeBuilder::new(cube_cfg.clone());
-        session_to_sequences(&builder, &session, 2, 1)
+        let builder = CubeBuilder::try_new(cube_cfg.clone()).unwrap();
+        try_session_to_sequences(&builder, &session, 2, 1).unwrap()
     }
 
     #[test]
@@ -650,7 +647,7 @@ mod tests {
             model_cfg,
             TrainConfig { epochs: 160, batch_size: 4, ..Default::default() },
         );
-        let trained = trainer.train(&seqs);
+        let trained = trainer.try_train(&seqs).unwrap();
         let first = trained.history.first().unwrap().loss;
         let last = trained.history.last().unwrap().loss;
         assert!(
@@ -668,7 +665,7 @@ mod tests {
             model_cfg,
             TrainConfig { epochs: 160, batch_size: 4, ..Default::default() },
         );
-        let trained = trainer.train(&seqs);
+        let trained = trainer.try_train(&seqs).unwrap();
         let model_err = trained.evaluate(&seqs).mpjpe(crate::metrics::JointGroup::Overall);
 
         let mean = mean_pose_baseline(&seqs);
@@ -693,7 +690,7 @@ mod tests {
             model_cfg,
             TrainConfig { epochs: 160, batch_size: 4, ..Default::default() },
         );
-        let trained = trainer.train(&seqs);
+        let trained = trainer.try_train(&seqs).unwrap();
         let preds = trained.predict_sequence(&seqs[0].segments);
         assert_eq!(preds.len(), seqs[0].len());
         for p in preds {
@@ -715,7 +712,7 @@ mod tests {
             model_cfg,
             TrainConfig { epochs: 160, batch_size: 4, ..Default::default() },
         );
-        let trained = trainer.train(&seqs);
+        let trained = trainer.try_train(&seqs).unwrap();
         let per_user = trained.evaluate_per_user(&seqs);
         assert_eq!(per_user.len(), 2);
         assert_eq!(per_user[0].0, 1);
@@ -732,7 +729,7 @@ mod tests {
             model_cfg,
             TrainConfig { epochs: 3, batch_size: 4, ..Default::default() },
         );
-        let _ = trainer.train(&seqs);
+        let _ = trainer.try_train(&seqs).unwrap();
         // Counters are process-global and other tests train concurrently,
         // so assert growth, not exact values.
         let epochs_after = mmhand_telemetry::counter("train.epochs").get();
@@ -751,13 +748,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty dataset")]
-    fn empty_training_set_panics() {
-        let (_, model_cfg) = tiny_stack();
-        Trainer::new(model_cfg, TrainConfig::default()).train(&[]);
-    }
-
-    #[test]
     fn try_train_surfaces_empty_windows_as_typed_errors() {
         use crate::error::PipelineError;
         let (_, model_cfg) = tiny_stack();
@@ -772,6 +762,22 @@ mod tests {
         assert!(matches!(
             trainer.try_train(&[hollow]),
             Err(PipelineError::EmptyInput { what: "segments in a training sequence" })
+        ));
+    }
+
+    #[test]
+    fn try_train_rejects_ragged_sequences_with_typed_error() {
+        let (cube_cfg, model_cfg) = tiny_stack();
+        let mut seqs = tiny_sequences(&cube_cfg, 8, 9);
+        assert_eq!(seqs.len(), 2);
+        // A truncated sequence makes the dataset ragged: batches could not
+        // stack it, so training must refuse it before the first epoch.
+        seqs[1].segments.pop();
+        seqs[1].labels.pop();
+        let trainer = Trainer::new(model_cfg, TrainConfig { epochs: 1, ..Default::default() });
+        assert!(matches!(
+            trainer.try_train(&seqs),
+            Err(PipelineError::MismatchedSequenceLength { expected: 2, got: 1 })
         ));
     }
 }

@@ -1,7 +1,7 @@
 //! Typed errors for DSP operations.
 //!
-//! [`DspError`] is the crate-level error of the workspace's `MmHandError`
-//! hierarchy; it currently wraps the filter-design error and covers
+//! [`DspError`] is the crate-level error that converts into `mmhand-core`'s
+//! `PipelineError`; it currently wraps the filter-design error and covers
 //! degenerate (empty) signal inputs for the fallible entry points.
 
 use crate::filter::DesignFilterError;

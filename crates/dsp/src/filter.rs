@@ -350,8 +350,9 @@ impl BandpassFilter {
     /// (`[re, im]` per sample, `2 · xs.len()` floats), `out` receives the
     /// filtered signal. Both are replaced, and the processing — dispatched
     /// to the kernel backend — is bitwise identical to running the real
-    /// plane then the imaginary plane through [`filter_signal_inplace`]
-    /// (Self::filter_signal_inplace), whichever backend is active.
+    /// plane then the imaginary plane through
+    /// [`filter_signal_inplace`](Self::filter_signal_inplace), whichever
+    /// backend is active.
     pub fn filter_complex_into(
         &mut self,
         xs: &[mmhand_math::Complex],

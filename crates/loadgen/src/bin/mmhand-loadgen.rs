@@ -37,9 +37,9 @@
 //! timings.
 
 use mmhand_core::cube::CubeConfig;
-use mmhand_core::eval::{build_cohort, train_reference_model, DataConfig};
+use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::model::ModelConfig;
-use mmhand_core::train::TrainConfig;
+use mmhand_core::train::{TrainConfig, Trainer};
 use mmhand_core::{MmHandPipeline, Precision};
 use mmhand_hand::gesture::Gesture;
 use mmhand_hand::trajectory::GestureTrack;
@@ -234,12 +234,9 @@ fn build_pipeline(precision: Precision) -> Result<MmHandPipeline, Box<dyn std::e
         lstm_hidden: 24,
         ..data.model_config()
     };
-    let seqs = build_cohort(&data);
-    let model = train_reference_model(
-        &seqs,
-        &model_cfg,
-        &TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
-    );
+    let seqs = try_build_cohort(&data)?;
+    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
+    let model = Trainer::new(model_cfg, train_cfg).try_train(&seqs)?;
     let mut builder =
         MmHandPipeline::builder_for(model.clone()).cube_config(cube.clone()).precision(precision);
     if precision == Precision::Int8 {

@@ -2,11 +2,10 @@
 //!
 //! Every [`crate::tape::Tape`] op validates its operand shapes through the
 //! rules in this module *before* executing the kernel, so a mismatched
-//! graph is rejected at construction — as a typed [`ShapeError`] naming
-//! the offending op from the fallible `Tape::try_*` builders, or as an
-//! immediate panic carrying the same message from the infallible builders
-//! — instead of surfacing as an index panic deep inside a GEMM band or
-//! an im2col loop at epoch 40 of a sweep.
+//! graph is rejected at construction — as an immediate panic carrying the
+//! [`ShapeError`] that names the offending op — instead of surfacing as an
+//! index panic deep inside a GEMM band or an im2col loop at epoch 40 of a
+//! sweep.
 //!
 //! Backward coverage: every backward rule on the tape computes gradient
 //! shapes as a pure function of the forward operand shapes validated here

@@ -37,12 +37,13 @@ use crate::tensor::{gemm_a_bt, gemm_at_b, Tensor};
 use mmhand_kernels::kernels;
 use std::sync::Arc;
 
-/// Unwraps a shape-checked graph builder — the standard delegating-wrapper
-/// idiom: the fallible `try_*` builders return the typed [`ShapeError`];
-/// the infallible builders keep the ergonomic API and surface the same
-/// error (op name included) at construction time.
-fn ok(r: Result<Var, ShapeError>) -> Var {
-    r.expect("graph rejected at construction; the `try_*` builders return this as a typed ShapeError")
+/// Applies an op's [`shape`] rule before the op runs. Graph shapes follow
+/// from the model configuration, which the pipeline builder checks against
+/// the radar cube once, so a rejected graph is a programming error: the
+/// builder panics at construction with the [`ShapeError`], which names the
+/// op, instead of deep inside a kernel.
+fn check(rule: Result<Vec<usize>, ShapeError>) {
+    rule.expect("graph rejected at construction");
 }
 
 /// Handle to a tape node.
@@ -206,38 +207,23 @@ impl Tape {
 
     /// Element-wise sum. Shapes must match.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        ok(self.try_add(a, b))
-    }
-
-    /// Fallible [`Tape::add`].
-    pub fn try_add(&mut self, a: Var, b: Var) -> Result<Var, ShapeError> {
-        shape::elementwise("add", self.shape_of(a), self.shape_of(b))?;
+        check(shape::elementwise("add", self.shape_of(a), self.shape_of(b)));
         let v = self.nodes[a.0].value.add(&self.nodes[b.0].value);
-        Ok(self.push(Op::Add(a, b), v))
+        self.push(Op::Add(a, b), v)
     }
 
     /// Element-wise difference. Shapes must match.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        ok(self.try_sub(a, b))
-    }
-
-    /// Fallible [`Tape::sub`].
-    pub fn try_sub(&mut self, a: Var, b: Var) -> Result<Var, ShapeError> {
-        shape::elementwise("sub", self.shape_of(a), self.shape_of(b))?;
+        check(shape::elementwise("sub", self.shape_of(a), self.shape_of(b)));
         let v = self.nodes[a.0].value.sub(&self.nodes[b.0].value);
-        Ok(self.push(Op::Sub(a, b), v))
+        self.push(Op::Sub(a, b), v)
     }
 
     /// Element-wise product. Shapes must match.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        ok(self.try_mul(a, b))
-    }
-
-    /// Fallible [`Tape::mul`].
-    pub fn try_mul(&mut self, a: Var, b: Var) -> Result<Var, ShapeError> {
-        shape::elementwise("mul", self.shape_of(a), self.shape_of(b))?;
+        check(shape::elementwise("mul", self.shape_of(a), self.shape_of(b)));
         let v = self.nodes[a.0].value.mul(&self.nodes[b.0].value);
-        Ok(self.push(Op::MulElem(a, b), v))
+        self.push(Op::MulElem(a, b), v)
     }
 
     /// Multiplication by a constant scalar.
@@ -277,12 +263,7 @@ impl Tape {
 
     /// 2-D matrix product `(m, k)·(k, n)`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        ok(self.try_matmul(a, b))
-    }
-
-    /// Fallible [`Tape::matmul`].
-    pub fn try_matmul(&mut self, a: Var, b: Var) -> Result<Var, ShapeError> {
-        shape::matmul(self.shape_of(a), self.shape_of(b))?;
+        check(shape::matmul(self.shape_of(a), self.shape_of(b)));
         // Quantized interception: on tapes built with `with_quantized`, a
         // matmul against a quantized parameter runs i8×i8→i32 and
         // dequantizes at the output. The node is recorded as an ordinary
@@ -298,17 +279,12 @@ impl Tape {
             Some(v) => v,
             None => self.nodes[a.0].value.matmul(&self.nodes[b.0].value),
         };
-        Ok(self.push(Op::Matmul(a, b), v))
+        self.push(Op::Matmul(a, b), v)
     }
 
     /// Adds a length-`F` bias row-wise to an `(N, F)` matrix.
     pub fn add_row_bias(&mut self, x: Var, bias: Var) -> Var {
-        ok(self.try_add_row_bias(x, bias))
-    }
-
-    /// Fallible [`Tape::add_row_bias`].
-    pub fn try_add_row_bias(&mut self, x: Var, bias: Var) -> Result<Var, ShapeError> {
-        shape::add_row_bias(self.shape_of(x), self.shape_of(bias))?;
+        check(shape::add_row_bias(self.shape_of(x), self.shape_of(bias)));
         let xv = &self.nodes[x.0].value;
         let bv = &self.nodes[bias.0].value;
         let (n, f) = (xv.shape()[0], xv.shape()[1]);
@@ -321,29 +297,18 @@ impl Tape {
                 *o += b;
             }
         }
-        Ok(self.push(Op::AddRowBias { x, bias }, out))
+        self.push(Op::AddRowBias { x, bias }, out)
     }
 
     /// 2-D convolution. `x` is `(N, C, H, W)`, `w` `(O, C, k, k)`.
     pub fn conv2d(&mut self, x: Var, w: Var, bias: Option<Var>, spec: ConvSpec) -> Var {
-        ok(self.try_conv2d(x, w, bias, spec))
-    }
-
-    /// Fallible [`Tape::conv2d`].
-    pub fn try_conv2d(
-        &mut self,
-        x: Var,
-        w: Var,
-        bias: Option<Var>,
-        spec: ConvSpec,
-    ) -> Result<Var, ShapeError> {
         let bias_len = bias.map(|b| self.nodes[b.0].value.len());
-        shape::conv2d(self.shape_of(x), self.shape_of(w), bias_len, &spec)?;
+        check(shape::conv2d(self.shape_of(x), self.shape_of(w), bias_len, &spec));
         let bias_data: Vec<f32> = bias
             .map(|b| self.nodes[b.0].value.data().to_vec())
             .unwrap_or_default();
         let v = conv2d_forward(&self.nodes[x.0].value, &self.nodes[w.0].value, &bias_data, &spec);
-        Ok(self.push(Op::Conv2d { x, w, bias, spec }, v))
+        self.push(Op::Conv2d { x, w, bias, spec }, v)
     }
 
     /// 2-D transposed convolution. `x` is `(N, C_in, H, W)`,
@@ -355,19 +320,8 @@ impl Tape {
         bias: Option<Var>,
         spec: ConvSpec,
     ) -> Var {
-        ok(self.try_conv_transpose2d(x, w, bias, spec))
-    }
-
-    /// Fallible [`Tape::conv_transpose2d`].
-    pub fn try_conv_transpose2d(
-        &mut self,
-        x: Var,
-        w: Var,
-        bias: Option<Var>,
-        spec: ConvSpec,
-    ) -> Result<Var, ShapeError> {
         let bias_len = bias.map(|b| self.nodes[b.0].value.len());
-        shape::conv_transpose2d(self.shape_of(x), self.shape_of(w), bias_len, &spec)?;
+        check(shape::conv_transpose2d(self.shape_of(x), self.shape_of(w), bias_len, &spec));
         let bias_data: Vec<f32> = bias
             .map(|b| self.nodes[b.0].value.data().to_vec())
             .unwrap_or_default();
@@ -377,17 +331,12 @@ impl Tape {
             &bias_data,
             &spec,
         );
-        Ok(self.push(Op::ConvT2d { x, w, bias, spec }, v))
+        self.push(Op::ConvT2d { x, w, bias, spec }, v)
     }
 
     /// Global average pool over the spatial dims: `(N, C, H, W) → (N, C)`.
     pub fn channel_avg_pool(&mut self, x: Var) -> Var {
-        ok(self.try_channel_avg_pool(x))
-    }
-
-    /// Fallible [`Tape::channel_avg_pool`].
-    pub fn try_channel_avg_pool(&mut self, x: Var) -> Result<Var, ShapeError> {
-        shape::channel_pool("channel_avg_pool", self.shape_of(x))?;
+        check(shape::channel_pool("channel_avg_pool", self.shape_of(x)));
         let [n, c, h, w] = dims4(&self.nodes[x.0].value);
         let hw = h * w;
         let xd = self.nodes[x.0].value.data();
@@ -395,17 +344,12 @@ impl Tape {
         for i in 0..n * c {
             out.data_mut()[i] = xd[i * hw..(i + 1) * hw].iter().sum::<f32>() / hw as f32;
         }
-        Ok(self.push(Op::ChannelAvgPool(x), out))
+        self.push(Op::ChannelAvgPool(x), out)
     }
 
     /// Global max pool over the spatial dims: `(N, C, H, W) → (N, C)`.
     pub fn channel_max_pool(&mut self, x: Var) -> Var {
-        ok(self.try_channel_max_pool(x))
-    }
-
-    /// Fallible [`Tape::channel_max_pool`].
-    pub fn try_channel_max_pool(&mut self, x: Var) -> Result<Var, ShapeError> {
-        shape::channel_pool("channel_max_pool", self.shape_of(x))?;
+        check(shape::channel_pool("channel_max_pool", self.shape_of(x)));
         let [n, c, h, w] = dims4(&self.nodes[x.0].value);
         let hw = h * w;
         let xd = self.nodes[x.0].value.data();
@@ -421,7 +365,7 @@ impl Tape {
             out.data_mut()[i] = val;
             argmax[i] = i * hw + best;
         }
-        Ok(self.push(Op::ChannelMaxPool { x, argmax }, out))
+        self.push(Op::ChannelMaxPool { x, argmax }, out)
     }
 
     /// Average pool over channel groups and space:
@@ -429,12 +373,7 @@ impl Tape {
     /// three-dimensional global average pooling over each frame's
     /// `V × D × A` sub-volume when frames are packed into channel groups.
     pub fn group_avg_pool(&mut self, x: Var, groups: usize) -> Var {
-        ok(self.try_group_avg_pool(x, groups))
-    }
-
-    /// Fallible [`Tape::group_avg_pool`].
-    pub fn try_group_avg_pool(&mut self, x: Var, groups: usize) -> Result<Var, ShapeError> {
-        shape::group_pool("group_avg_pool", self.shape_of(x), groups)?;
+        check(shape::group_pool("group_avg_pool", self.shape_of(x), groups));
         let [n, c, h, w] = dims4(&self.nodes[x.0].value);
         let per = (c / groups) * h * w;
         let xd = self.nodes[x.0].value.data();
@@ -442,18 +381,13 @@ impl Tape {
         for i in 0..n * groups {
             out.data_mut()[i] = xd[i * per..(i + 1) * per].iter().sum::<f32>() / per as f32;
         }
-        Ok(self.push(Op::GroupAvgPool { x, groups }, out))
+        self.push(Op::GroupAvgPool { x, groups }, out)
     }
 
     /// Max pool over channel groups and space (the paper's TGMP):
     /// `(N, G·Cg, H, W) → (N, G)`.
     pub fn group_max_pool(&mut self, x: Var, groups: usize) -> Var {
-        ok(self.try_group_max_pool(x, groups))
-    }
-
-    /// Fallible [`Tape::group_max_pool`].
-    pub fn try_group_max_pool(&mut self, x: Var, groups: usize) -> Result<Var, ShapeError> {
-        shape::group_pool("group_max_pool", self.shape_of(x), groups)?;
+        check(shape::group_pool("group_max_pool", self.shape_of(x), groups));
         let [n, c, h, w] = dims4(&self.nodes[x.0].value);
         let per = (c / groups) * h * w;
         let xd = self.nodes[x.0].value.data();
@@ -469,18 +403,13 @@ impl Tape {
             out.data_mut()[i] = val;
             argmax[i] = i * per + best;
         }
-        Ok(self.push(Op::GroupMaxPool { x, argmax }, out))
+        self.push(Op::GroupMaxPool { x, argmax }, out)
     }
 
     /// Mean across channels: `(N, C, H, W) → (N, 1, H, W)` (the MEAN of the
     /// paper's spatial attention, Eq. 6).
     pub fn mean_over_channels(&mut self, x: Var) -> Var {
-        ok(self.try_mean_over_channels(x))
-    }
-
-    /// Fallible [`Tape::mean_over_channels`].
-    pub fn try_mean_over_channels(&mut self, x: Var) -> Result<Var, ShapeError> {
-        shape::over_channels("mean_over_channels", self.shape_of(x))?;
+        check(shape::over_channels("mean_over_channels", self.shape_of(x)));
         let [n, c, h, w] = dims4(&self.nodes[x.0].value);
         let hw = h * w;
         let xd = self.nodes[x.0].value.data();
@@ -497,18 +426,13 @@ impl Tape {
         for v in out.data_mut() {
             *v *= inv;
         }
-        Ok(self.push(Op::MeanOverChannels(x), out))
+        self.push(Op::MeanOverChannels(x), out)
     }
 
     /// Max across channels: `(N, C, H, W) → (N, 1, H, W)` (the MAX of
     /// Eq. 6).
     pub fn max_over_channels(&mut self, x: Var) -> Var {
-        ok(self.try_max_over_channels(x))
-    }
-
-    /// Fallible [`Tape::max_over_channels`].
-    pub fn try_max_over_channels(&mut self, x: Var) -> Result<Var, ShapeError> {
-        shape::over_channels("max_over_channels", self.shape_of(x))?;
+        check(shape::over_channels("max_over_channels", self.shape_of(x)));
         let [n, c, h, w] = dims4(&self.nodes[x.0].value);
         let hw = h * w;
         let xd = self.nodes[x.0].value.data();
@@ -529,17 +453,12 @@ impl Tape {
                 argmax[s * hw + p] = (s * c + best_c) * hw + p;
             }
         }
-        Ok(self.push(Op::MaxOverChannels { x, argmax }, out))
+        self.push(Op::MaxOverChannels { x, argmax }, out)
     }
 
     /// Broadcast-multiplies `(N, C, H, W)` by per-channel weights `(N, C)`.
     pub fn mul_channel(&mut self, x: Var, w: Var) -> Var {
-        ok(self.try_mul_channel(x, w))
-    }
-
-    /// Fallible [`Tape::mul_channel`].
-    pub fn try_mul_channel(&mut self, x: Var, w: Var) -> Result<Var, ShapeError> {
-        shape::mul_channel(self.shape_of(x), self.shape_of(w))?;
+        check(shape::mul_channel(self.shape_of(x), self.shape_of(w)));
         let [n, c, h, wd] = dims4(&self.nodes[x.0].value);
         let hw = h * wd;
         let mut out = self.nodes[x.0].value.clone();
@@ -549,18 +468,13 @@ impl Tape {
                 *v *= s;
             }
         }
-        Ok(self.push(Op::MulChannel { x, w }, out))
+        self.push(Op::MulChannel { x, w }, out)
     }
 
     /// Broadcast-multiplies channel *groups* by weights `(N, G)` — the
     /// frame-channel weighting of the first attention stage (Eq. 3).
     pub fn mul_group(&mut self, x: Var, w: Var, groups: usize) -> Var {
-        ok(self.try_mul_group(x, w, groups))
-    }
-
-    /// Fallible [`Tape::mul_group`].
-    pub fn try_mul_group(&mut self, x: Var, w: Var, groups: usize) -> Result<Var, ShapeError> {
-        shape::mul_group(self.shape_of(x), self.shape_of(w), groups)?;
+        check(shape::mul_group(self.shape_of(x), self.shape_of(w), groups));
         let [n, c, h, wd] = dims4(&self.nodes[x.0].value);
         let per = (c / groups) * h * wd;
         let mut out = self.nodes[x.0].value.clone();
@@ -570,18 +484,13 @@ impl Tape {
                 *v *= s;
             }
         }
-        Ok(self.push(Op::MulGroup { x, w, groups }, out))
+        self.push(Op::MulGroup { x, w, groups }, out)
     }
 
     /// Broadcast-multiplies `(N, C, H, W)` by a spatial map `(N, 1, H, W)`
     /// — the application of the spatial attention mask (Eq. 7).
     pub fn mul_spatial(&mut self, x: Var, w: Var) -> Var {
-        ok(self.try_mul_spatial(x, w))
-    }
-
-    /// Fallible [`Tape::mul_spatial`].
-    pub fn try_mul_spatial(&mut self, x: Var, w: Var) -> Result<Var, ShapeError> {
-        shape::mul_spatial(self.shape_of(x), self.shape_of(w))?;
+        check(shape::mul_spatial(self.shape_of(x), self.shape_of(w)));
         let [n, c, h, wd] = dims4(&self.nodes[x.0].value);
         let hw = h * wd;
         let mut out = self.nodes[x.0].value.clone();
@@ -594,17 +503,12 @@ impl Tape {
                 }
             }
         }
-        Ok(self.push(Op::MulSpatial { x, w }, out))
+        self.push(Op::MulSpatial { x, w }, out)
     }
 
     /// Concatenates two `(N, A)` / `(N, B)` matrices into `(N, A+B)`.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        ok(self.try_concat_cols(a, b))
-    }
-
-    /// Fallible [`Tape::concat_cols`].
-    pub fn try_concat_cols(&mut self, a: Var, b: Var) -> Result<Var, ShapeError> {
-        shape::concat_cols(self.shape_of(a), self.shape_of(b))?;
+        check(shape::concat_cols(self.shape_of(a), self.shape_of(b)));
         let av = &self.nodes[a.0].value;
         let bv = &self.nodes[b.0].value;
         let (n, fa) = (av.shape()[0], av.shape()[1]);
@@ -616,17 +520,12 @@ impl Tape {
             out.data_mut()[row * (fa + fb) + fa..(row + 1) * (fa + fb)]
                 .copy_from_slice(&bv.data()[row * fb..(row + 1) * fb]);
         }
-        Ok(self.push(Op::ConcatCols(a, b), out))
+        self.push(Op::ConcatCols(a, b), out)
     }
 
     /// Concatenates two 4-D tensors along the channel axis.
     pub fn concat_channels(&mut self, a: Var, b: Var) -> Var {
-        ok(self.try_concat_channels(a, b))
-    }
-
-    /// Fallible [`Tape::concat_channels`].
-    pub fn try_concat_channels(&mut self, a: Var, b: Var) -> Result<Var, ShapeError> {
-        shape::concat_channels(self.shape_of(a), self.shape_of(b))?;
+        check(shape::concat_channels(self.shape_of(a), self.shape_of(b)));
         let [n, ca, h, w] = dims4(&self.nodes[a.0].value);
         let cb = self.nodes[b.0].value.shape()[1];
         let hw = h * w;
@@ -638,22 +537,12 @@ impl Tape {
             dst[ca * hw..]
                 .copy_from_slice(&self.nodes[b.0].value.data()[s * cb * hw..(s + 1) * cb * hw]);
         }
-        Ok(self.push(Op::ConcatChannels(a, b), out))
+        self.push(Op::ConcatChannels(a, b), out)
     }
 
     /// Takes columns `[start, start+len)` of an `(N, F)` matrix.
     pub fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        ok(self.try_slice_cols(x, start, len))
-    }
-
-    /// Fallible [`Tape::slice_cols`].
-    pub fn try_slice_cols(
-        &mut self,
-        x: Var,
-        start: usize,
-        len: usize,
-    ) -> Result<Var, ShapeError> {
-        shape::slice_cols(self.shape_of(x), start, len)?;
+        check(shape::slice_cols(self.shape_of(x), start, len));
         let xv = &self.nodes[x.0].value;
         let (n, f) = (xv.shape()[0], xv.shape()[1]);
         let mut out = Tensor::zeros(&[n, len]);
@@ -661,19 +550,14 @@ impl Tape {
             out.data_mut()[row * len..(row + 1) * len]
                 .copy_from_slice(&xv.data()[row * f + start..row * f + start + len]);
         }
-        Ok(self.push(Op::SliceCols { x, start, len }, out))
+        self.push(Op::SliceCols { x, start, len }, out)
     }
 
     /// Reshapes without copying semantics (gradient reshapes back).
-    pub fn reshape(&mut self, x: Var, shape: &[usize]) -> Var {
-        ok(self.try_reshape(x, shape))
-    }
-
-    /// Fallible [`Tape::reshape`].
-    pub fn try_reshape(&mut self, x: Var, new_shape: &[usize]) -> Result<Var, ShapeError> {
-        shape::reshape(self.shape_of(x), new_shape)?;
+    pub fn reshape(&mut self, x: Var, new_shape: &[usize]) -> Var {
+        check(shape::reshape(self.shape_of(x), new_shape));
         let v = self.nodes[x.0].value.reshaped(new_shape);
-        Ok(self.push(Op::Reshape(x), v))
+        self.push(Op::Reshape(x), v)
     }
 
     /// Mean of all elements → a `[1]`-shaped scalar (loss reduction).
@@ -685,21 +569,7 @@ impl Tape {
     /// Layer normalisation over the last dimension with affine parameters
     /// `gamma`/`beta` of that dimension's length.
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var) -> Var {
-        ok(self.try_layer_norm(x, gamma, beta))
-    }
-
-    /// Fallible [`Tape::layer_norm`].
-    pub fn try_layer_norm(
-        &mut self,
-        x: Var,
-        gamma: Var,
-        beta: Var,
-    ) -> Result<Var, ShapeError> {
-        shape::layer_norm(
-            self.shape_of(x),
-            self.shape_of(gamma),
-            self.shape_of(beta),
-        )?;
+        check(shape::layer_norm(self.shape_of(x), self.shape_of(gamma), self.shape_of(beta)));
         let xv = &self.nodes[x.0].value;
         let shape = xv.shape().to_vec();
         let f = shape[shape.len() - 1];
@@ -720,10 +590,7 @@ impl Tape {
                 *v = (*v - mean) * rstd * gv[i] + bv[i];
             }
         }
-        Ok(self.push(
-            Op::LayerNorm { x, gamma, beta, mean: means, rstd: rstds },
-            out,
-        ))
+        self.push(Op::LayerNorm { x, gamma, beta, mean: means, rstd: rstds }, out)
     }
 
     /// Injects an externally computed loss: `value` is the loss value and
@@ -733,21 +600,10 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics if `grad`'s shape differs from `x`'s (use
-    /// [`Tape::try_external_loss`] for the typed error).
+    /// Panics if `grad`'s shape differs from `x`'s.
     pub fn external_loss(&mut self, x: Var, value: f32, grad: Tensor) -> Var {
-        ok(self.try_external_loss(x, value, grad))
-    }
-
-    /// Fallible [`Tape::external_loss`].
-    pub fn try_external_loss(
-        &mut self,
-        x: Var,
-        value: f32,
-        grad: Tensor,
-    ) -> Result<Var, ShapeError> {
-        shape::external_loss(self.shape_of(x), grad.shape())?;
-        Ok(self.push(Op::External { x, grad }, Tensor::from_vec(&[1], vec![value])))
+        check(shape::external_loss(self.shape_of(x), grad.shape()));
+        self.push(Op::External { x, grad }, Tensor::from_vec(&[1], vec![value]))
     }
 
     fn add_grad(&mut self, v: Var, g: Tensor) {
@@ -1399,29 +1255,38 @@ mod tests {
 
     #[test]
     fn mismatched_graph_rejected_at_construction() {
-        // The fallible builders return a typed error naming the op; the
-        // tape stays usable afterwards (the bad op pushed no node).
+        // Each builder runs its shape rule first and panics naming the op;
+        // the rejected op pushes no node, so the tape stays usable.
+        fn rejection(build: impl FnOnce()) -> String {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
+                .expect_err("mismatched graph must be rejected");
+            payload.downcast_ref::<String>().cloned().unwrap_or_default()
+        }
         let mut tape = Tape::new();
         let a = tape.leaf(Tensor::zeros(&[3, 4]));
         let b = tape.leaf(Tensor::zeros(&[5, 2]));
-        let e = tape.try_matmul(a, b).unwrap_err();
-        assert_eq!(e.op(), "matmul");
-        assert!(e.to_string().contains("inner dimensions"), "{e}");
-
-        let e = tape.try_add(a, b).unwrap_err();
-        assert_eq!(e.op(), "add");
+        let e = rejection(|| {
+            tape.matmul(a, b);
+        });
+        assert!(e.contains("\"matmul\"") && e.contains("inner dimensions"), "{e}");
+        let e = rejection(|| {
+            tape.add(a, b);
+        });
+        assert!(e.contains("\"add\""), "{e}");
 
         let x = tape.leaf(Tensor::zeros(&[1, 2, 4, 4]));
         let w = tape.leaf(Tensor::zeros(&[3, 2, 3, 3]));
         let bad_spec =
             ConvSpec { in_channels: 4, out_channels: 3, kernel: 3, stride: 1, pad: 1 };
-        let e = tape.try_conv2d(x, w, None, bad_spec).unwrap_err();
-        assert_eq!(e.op(), "conv2d");
+        let e = rejection(|| {
+            tape.conv2d(x, w, None, bad_spec);
+        });
+        assert!(e.contains("\"conv2d\""), "{e}");
 
         // A good graph still builds on the same tape after rejections.
         let ok_spec =
             ConvSpec { in_channels: 2, out_channels: 3, kernel: 3, stride: 1, pad: 1 };
-        let y = tape.try_conv2d(x, w, None, ok_spec).expect("valid graph");
+        let y = tape.conv2d(x, w, None, ok_spec);
         assert_eq!(tape.value(y).shape(), &[1, 3, 4, 4]);
     }
 

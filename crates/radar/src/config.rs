@@ -105,8 +105,8 @@ impl ChirpConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`RadarError::InvalidConfig`] naming the first violated
-    /// constraint.
+    /// Returns a [`RadarError::InvalidConfig`](crate::RadarError::InvalidConfig)
+    /// naming the first violated constraint.
     pub fn validate(&self) -> Result<(), crate::error::RadarError> {
         use crate::error::RadarError;
         let invalid = |field: &'static str, reason: &str| {
@@ -135,8 +135,8 @@ impl ChirpConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`RadarError::FrameGeometry`] for the first mismatched
-    /// axis.
+    /// Returns a [`RadarError::FrameGeometry`](crate::RadarError::FrameGeometry)
+    /// for the first mismatched axis.
     pub fn validate_frame(
         &self,
         frame: &crate::RawFrame,

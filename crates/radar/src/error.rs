@@ -1,6 +1,6 @@
 //! Typed errors for radar configuration and frame geometry.
 //!
-//! Part of the workspace-wide `MmHandError` hierarchy: downstream crates
+//! Converts into `mmhand-core`'s `PipelineError`: downstream crates
 //! (`mmhand-core`, `mmhand-serve`) wrap [`RadarError`] via `From`
 //! conversions so malformed configurations and frames surface as `Err`
 //! values instead of panics on the serving path.

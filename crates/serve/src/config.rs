@@ -125,7 +125,7 @@ pub struct ServeConfig {
     pub evict_after_idle_steps: usize,
     /// How many *recently evicted* session ids are remembered so a late
     /// client gets the distinct [`ServeError::SessionEvicted`] instead of
-    /// [`ServeError::UnknownSession`](crate::ServeError::UnknownSession).
+    /// [`ServeError::UnknownSession`].
     /// The tombstone store is a bounded ring: once more than this many
     /// sessions have been evicted, the oldest tombstones degrade to the
     /// generic unknown-session error. This keeps long-running servers at

@@ -508,7 +508,7 @@ mod tests {
     use crate::testutil::tiny_engine_parts;
 
     fn engine(cfg: ServeConfig) -> ServeEngine {
-        let (pipeline, _frames) = tiny_engine_parts();
+        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
         ServeEngine::new(pipeline, cfg).expect("valid config")
     }
 
@@ -525,7 +525,7 @@ mod tests {
 
     #[test]
     fn queue_full_is_typed_backpressure() {
-        let (pipeline, frames) = tiny_engine_parts();
+        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
         let mut e = ServeEngine::new(pipeline, ServeConfig::new().queue_capacity(2))
             .expect("valid config");
         let sid = e.open_session().expect("session opens");
@@ -539,7 +539,7 @@ mod tests {
 
     #[test]
     fn unknown_and_evicted_sessions_are_distinguished() {
-        let (pipeline, frames) = tiny_engine_parts();
+        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
         let mut e =
             ServeEngine::new(pipeline, ServeConfig::new().evict_after_idle_steps(1))
                 .expect("valid config");
@@ -563,7 +563,7 @@ mod tests {
 
     #[test]
     fn streams_produce_results_and_close_reports_stats() {
-        let (pipeline, frames) = tiny_engine_parts();
+        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
         let st = pipeline.builder().config().frames_per_segment;
         let mut e = ServeEngine::new(pipeline, ServeConfig::new().mesh_policy(MeshPolicy::Never))
             .expect("valid config");
@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn profile_precision_must_match_the_pipeline() {
-        let (pipeline, _frames) = tiny_engine_parts();
+        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
         // Request the opposite precision of whatever the pipeline resolved
         // to; the mismatch must be a typed construction-time error.
         let other = match pipeline.precision() {
@@ -610,7 +610,7 @@ mod tests {
 
     #[test]
     fn engine_reports_its_profile() {
-        let (pipeline, _frames) = tiny_engine_parts();
+        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
         let expected = pipeline.precision();
         let e = engine(ServeConfig::new());
         assert_eq!(e.precision(), expected);
@@ -633,7 +633,7 @@ mod tests {
 
     #[test]
     fn eviction_tombstones_stay_bounded_and_degrade_oldest_to_unknown() {
-        let (pipeline, frames) = tiny_engine_parts();
+        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
         let mut e = ServeEngine::new(
             pipeline,
             ServeConfig::new().evict_after_idle_steps(1).tombstone_capacity(2),
@@ -664,7 +664,7 @@ mod tests {
     /// must serve all three within three steps.
     #[test]
     fn rotating_cursor_prevents_low_id_starvation() {
-        let (pipeline, frames) = tiny_engine_parts();
+        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
         let st = pipeline.builder().config().frames_per_segment;
         let mut e = ServeEngine::new(
             pipeline,
@@ -693,7 +693,7 @@ mod tests {
 
     #[test]
     fn malformed_frame_geometry_is_a_typed_error() {
-        let (pipeline, _frames) = tiny_engine_parts();
+        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
         let mut e = ServeEngine::new(pipeline, ServeConfig::new()).expect("valid config");
         let sid = e.open_session().expect("session opens");
         let bad = RawFrame::zeroed(&mmhand_radar::ChirpConfig::default());
@@ -705,7 +705,7 @@ mod tests {
 
     #[test]
     fn full_result_buffer_stalls_scheduling() {
-        let (pipeline, frames) = tiny_engine_parts();
+        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
         let st = pipeline.builder().config().frames_per_segment;
         let mut e = ServeEngine::new(
             pipeline,

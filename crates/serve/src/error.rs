@@ -7,7 +7,7 @@
 //! with `?`.
 
 use crate::wire::WireError;
-use mmhand_core::{MmHandError, PipelineError};
+use mmhand_core::PipelineError;
 use std::error::Error;
 use std::fmt;
 
@@ -108,17 +108,6 @@ impl From<PipelineError> for ServeError {
     }
 }
 
-impl From<MmHandError> for ServeError {
-    fn from(e: MmHandError) -> Self {
-        match e {
-            MmHandError::Pipeline(p) => ServeError::Pipeline(p),
-            MmHandError::Radar(r) => ServeError::Pipeline(PipelineError::from(r)),
-            MmHandError::Dsp(d) => ServeError::Pipeline(PipelineError::from(d)),
-            MmHandError::Shape(s) => ServeError::Pipeline(PipelineError::from(s)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,11 +127,5 @@ mod tests {
         let e = ServeError::from(p);
         assert!(matches!(e, ServeError::Pipeline(PipelineError::EmptyInput { .. })));
         assert!(e.source().is_some());
-    }
-
-    #[test]
-    fn mmhand_errors_flatten_to_pipeline() {
-        let m = MmHandError::Pipeline(PipelineError::EmptyInput { what: "x" });
-        assert!(matches!(ServeError::from(m), ServeError::Pipeline(_)));
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! 1. accepts any pending connections (non-blocking),
 //! 2. reads whatever bytes each socket has, feeding the per-connection
-//!    incremental [`Decoder`](crate::wire::Decoder) and dispatching every
-//!    complete [`WireMsg`](crate::wire::WireMsg) into the sharded engine,
+//!    incremental [`Decoder`] and dispatching every
+//!    complete [`WireMsg`] into the sharded engine,
 //! 3. advances the engine one [`step`](ShardedServe::step) (shards run in
 //!    parallel over the `mmhand-parallel` pool),
 //! 4. serialises every fresh result back onto its owner connection, and
@@ -422,7 +422,7 @@ mod tests {
     use crate::{MeshPolicy, ServeConfig};
 
     fn tiny_server(shards: usize) -> (ServeServer, Vec<mmhand_radar::RawFrame>) {
-        let (pipeline, frames) = tiny_engine_parts();
+        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
         let serve = ShardedServe::new(
             pipeline,
             shards,

@@ -299,13 +299,13 @@ mod tests {
     use crate::testutil::{tiny_engine_parts, tiny_stream};
 
     fn sharded(shards: usize, cfg: ServeConfig) -> ShardedServe {
-        let (pipeline, _frames) = tiny_engine_parts();
+        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
         ShardedServe::new(pipeline, shards, cfg).expect("valid config")
     }
 
     #[test]
     fn shard_count_bounds_are_typed_errors() {
-        let (pipeline, _frames) = tiny_engine_parts();
+        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
         for bad in [0, MAX_SHARDS + 1] {
             match ShardedServe::new(pipeline.clone(), bad, ServeConfig::new()) {
                 Err(ServeError::InvalidConfig { field: "shards", .. }) => {}

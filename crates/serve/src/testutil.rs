@@ -2,10 +2,10 @@
 //! fresh capture to stream through it.
 
 use mmhand_core::cube::CubeConfig;
-use mmhand_core::eval::{build_cohort, train_reference_model, DataConfig};
+use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::model::ModelConfig;
-use mmhand_core::train::TrainConfig;
-use mmhand_core::MmHandPipeline;
+use mmhand_core::train::{TrainConfig, Trainer};
+use mmhand_core::{MmHandPipeline, PipelineError};
 use mmhand_hand::gesture::Gesture;
 use mmhand_hand::trajectory::GestureTrack;
 use mmhand_hand::user::UserProfile;
@@ -33,7 +33,7 @@ pub(crate) fn tiny_cube() -> CubeConfig {
 }
 
 /// Trains a tiny pipeline and records a fresh stream of frames for it.
-pub(crate) fn tiny_engine_parts() -> (MmHandPipeline, Vec<RawFrame>) {
+pub(crate) fn tiny_engine_parts() -> Result<(MmHandPipeline, Vec<RawFrame>), PipelineError> {
     let cube = tiny_cube();
     let data = DataConfig {
         users: 2,
@@ -57,30 +57,21 @@ pub(crate) fn tiny_engine_parts() -> (MmHandPipeline, Vec<RawFrame>) {
         lstm_hidden: 24,
         ..data.model_config()
     };
-    let seqs = build_cohort(&data);
-    let model = train_reference_model(
-        &seqs,
-        &model_cfg,
-        &TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
-    );
+    let seqs = try_build_cohort(&data)?;
+    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
+    let model = Trainer::new(model_cfg, train_cfg).try_train(&seqs)?;
     let frames = tiny_stream(12, 21);
     // Always supply calibration material, leaving the precision to the
     // documented MMHAND_PRECISION fallback: under f32 the calibration is
     // simply unused, under int8 the pipeline quantizes — which is what
     // lets CI's precision matrix run this whole suite on both paths.
-    let mut probe = MmHandPipeline::builder_for(model.clone())
-        .cube_config(cube.clone())
-        .build()
-        // audit: allow(serve_hygiene) — cfg(test)-gated fixture module (see lib.rs), never in the ingress path
-        .expect("tiny probe pipeline assembles");
-    let calibration = probe.frames_to_segments(&frames);
+    let mut probe = MmHandPipeline::builder_for(model.clone()).cube_config(cube.clone()).build()?;
+    let calibration = probe.try_frames_to_segments(&frames)?;
     let pipeline = MmHandPipeline::builder_for(model)
         .cube_config(cube.clone())
         .calibration_segments(calibration)
-        .build()
-        // audit: allow(serve_hygiene) — cfg(test)-gated fixture module (see lib.rs), never in the ingress path
-        .expect("tiny pipeline assembles");
-    (pipeline, frames)
+        .build()?;
+    Ok((pipeline, frames))
 }
 
 /// Records a fresh capture stream with the tiny geometry.

@@ -9,7 +9,7 @@
 //! Design points:
 //!
 //! * **One global registry, cheap handles.** [`counter`], [`gauge`],
-//!   [`histogram`] resolve a name to a shared handle once; the handle is a
+//!   [`histogram_with`] resolve a name to a shared handle once; the handle is a
 //!   reference-counted pointer whose operations are single atomic
 //!   instructions. Hot paths resolve their handles outside the loop.
 //! * **No-op mode.** [`set_enabled`]`(false)` turns every *recording*

@@ -7,23 +7,23 @@
 //! cargo run --release -p mmhand-examples --example counting_ui
 //! ```
 
-use mmhand_core::cube::CubeBuilder;
-use mmhand_core::eval::{build_cohort, DataConfig};
+use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::mesh::MeshReconstructor;
 use mmhand_core::pipeline::MmHandPipeline;
 use mmhand_core::recognize::GestureRecognizer;
 use mmhand_core::loss::LossWeights;
 use mmhand_core::train::{TrainConfig, Trainer};
+use mmhand_core::PipelineError;
 use mmhand_hand::gesture::Gesture;
 use mmhand_hand::trajectory::GestureTrack;
 use mmhand_hand::user::UserProfile;
 use mmhand_math::Vec3;
 use mmhand_radar::capture::{record_session, CaptureConfig};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     println!("training the joint regressor…");
     let data = DataConfig { users: 3, frames_per_user: 192, ..Default::default() };
-    let sequences = build_cohort(&data);
+    let sequences = try_build_cohort(&data)?;
     let model = Trainer::new(
         data.model_config(),
         // γ = 0: at demo scale the kinematic constraint over-smooths the
@@ -34,12 +34,11 @@ fn main() {
             ..Default::default()
         },
     )
-    .train(&sequences);
-    let mut pipeline = MmHandPipeline::new(
-        CubeBuilder::new(data.cube.clone()),
-        model,
-        MeshReconstructor::new(0),
-    );
+    .try_train(&sequences)?;
+    let mut pipeline = MmHandPipeline::builder_for(model)
+        .cube_config(data.cube.clone())
+        .mesh(MeshReconstructor::new(0))
+        .build()?;
 
     // Recognise over a small counting vocabulary (0, 1, 2, 5 are the most
     // separable digits at radar resolution).
@@ -73,7 +72,7 @@ fn main() {
             frames_per_digit,
             &CaptureConfig { seed: 100 + i as u64, ..Default::default() },
         );
-        let out = pipeline.estimate(&session.frames);
+        let out = pipeline.try_estimate(&session.frames)?;
         let votes: Vec<String> = out
             .skeletons
             .iter()
@@ -92,4 +91,5 @@ fn main() {
     println!();
     println!("{correct}/{} digits recognised correctly", pin.len());
     println!("(accuracy depends on the tiny demo model; the exp_* suite evaluates properly)");
+    Ok(())
 }

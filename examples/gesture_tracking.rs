@@ -6,32 +6,31 @@
 //! cargo run --release -p mmhand-examples --example gesture_tracking
 //! ```
 
-use mmhand_core::cube::CubeBuilder;
-use mmhand_core::eval::{build_cohort, DataConfig};
+use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::mesh::MeshReconstructor;
 use mmhand_core::pipeline::MmHandPipeline;
 use mmhand_core::train::{TrainConfig, Trainer};
+use mmhand_core::PipelineError;
 use mmhand_hand::skeleton::Finger;
 use mmhand_hand::trajectory::grab_track;
 use mmhand_hand::user::UserProfile;
 use mmhand_math::Vec3;
 use mmhand_radar::capture::{record_session, CaptureConfig};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     // Train a compact model on simulated data.
     println!("preparing model…");
     let data = DataConfig { users: 3, frames_per_user: 192, ..Default::default() };
-    let sequences = build_cohort(&data);
+    let sequences = try_build_cohort(&data)?;
     let model = Trainer::new(
         data.model_config(),
         TrainConfig { epochs: 60, ..Default::default() },
     )
-    .train(&sequences);
-    let mut pipeline = MmHandPipeline::new(
-        CubeBuilder::new(data.cube.clone()),
-        model,
-        MeshReconstructor::new(0),
-    );
+    .try_train(&sequences)?;
+    let mut pipeline = MmHandPipeline::builder_for(model)
+        .cube_config(data.cube.clone())
+        .mesh(MeshReconstructor::new(0))
+        .build()?;
 
     // Record a continuous grab–release cycle.
     let user = UserProfile::generate(1, data.seed);
@@ -39,7 +38,7 @@ fn main() {
     let n_frames = 40;
     let session = record_session(&user, &track, n_frames, &CaptureConfig::default());
 
-    let out = pipeline.estimate(&session.frames);
+    let out = pipeline.try_estimate(&session.frames)?;
     println!("tracking {} pipeline outputs:", out.skeletons.len());
     println!("segment  grip_aperture_mm  (thumb-index distance; small = closed fist)");
     let st = data.cube.frames_per_segment;
@@ -56,4 +55,5 @@ fn main() {
         );
     }
     println!("the aperture should oscillate as the hand grabs and releases");
+    Ok(())
 }

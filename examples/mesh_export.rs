@@ -46,8 +46,8 @@ fn main() {
             .flat_map(|v| v.to_array())
             .collect();
 
-        let learned = reconstructor.reconstruct(&skeleton);
-        let analytic = reconstructor.reconstruct_analytic(&skeleton);
+        let learned = reconstructor.try_reconstruct(&skeleton).expect("fitted, 63-float skeleton");
+        let analytic = reconstructor.try_reconstruct_analytic(&skeleton).expect("63 floats");
         let name = gesture.name();
         let learned_path = out_dir.join(format!("{name}_net.obj"));
         let analytic_path = out_dir.join(format!("{name}_ik.obj"));

@@ -6,23 +6,23 @@
 //! cargo run --release -p mmhand-examples --example quickstart
 //! ```
 
-use mmhand_core::cube::CubeBuilder;
-use mmhand_core::eval::{build_cohort, DataConfig};
+use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::mesh::MeshReconstructor;
 use mmhand_core::metrics::JointGroup;
 use mmhand_core::pipeline::MmHandPipeline;
 use mmhand_core::train::{TrainConfig, Trainer};
+use mmhand_core::PipelineError;
 use mmhand_hand::gesture::Gesture;
 use mmhand_hand::trajectory::GestureTrack;
 use mmhand_hand::user::UserProfile;
 use mmhand_math::Vec3;
 use mmhand_radar::capture::{record_session, CaptureConfig};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     // 1. Generate a small training cohort with the radar simulator.
     println!("simulating training data…");
     let data = DataConfig { users: 3, frames_per_user: 96, ..Default::default() };
-    let sequences = build_cohort(&data);
+    let sequences = try_build_cohort(&data)?;
     println!("  {} training sequences", sequences.len());
 
     // 2. Train the mmHand joint regressor (scaled-down schedule).
@@ -31,7 +31,7 @@ fn main() {
         data.model_config(),
         TrainConfig { epochs: 25, ..Default::default() },
     );
-    let model = trainer.train(&sequences);
+    let model = trainer.try_train(&sequences)?;
     let last = model.history.last().expect("history");
     println!("  final loss {:.5} (L3D {:.5}, Lkine {:.4})", last.loss, last.l3d, last.lkine);
 
@@ -46,12 +46,11 @@ fn main() {
     let session = record_session(&user, &track, 24, &CaptureConfig::default());
 
     // 4. Run the full pipeline: frames → skeletons → meshes.
-    let mut pipeline = MmHandPipeline::new(
-        CubeBuilder::new(data.cube.clone()),
-        model,
-        MeshReconstructor::new(0), // analytic IK path (no mesh-net training)
-    );
-    let out = pipeline.estimate(&session.frames);
+    let mut pipeline = MmHandPipeline::builder_for(model)
+        .cube_config(data.cube.clone())
+        .mesh(MeshReconstructor::new(0)) // analytic IK path (no mesh-net training)
+        .build()?;
+    let out = pipeline.try_estimate(&session.frames)?;
     println!(
         "estimated {} skeletons + meshes in {:.0}ms",
         out.skeletons.len(),
@@ -80,4 +79,5 @@ fn main() {
         hand.mesh.faces.len(),
         hand.beta[0]
     );
+    Ok(())
 }

@@ -8,6 +8,7 @@
 //! ```
 
 use mmhand_core::cube::{CubeBuilder, CubeConfig};
+use mmhand_core::PipelineError;
 use mmhand_hand::gesture::Gesture;
 use mmhand_hand::trajectory::swipe_track;
 use mmhand_hand::user::UserProfile;
@@ -26,9 +27,9 @@ fn strip(values: &[f32]) -> String {
         .collect()
 }
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let cube_cfg = CubeConfig::default();
-    let builder = CubeBuilder::new(cube_cfg.clone());
+    let builder = CubeBuilder::try_new(cube_cfg.clone())?;
     let user = UserProfile::generate(1, 5);
 
     // A hand swiping left-to-right at 30 cm.
@@ -41,7 +42,7 @@ fn main() {
     println!();
     println!("frame | range profile (near→far)   | azimuth spectrum (left→right)");
     for (i, frame) in session.frames.iter().enumerate().step_by(2) {
-        let cube = builder.process_frame(frame);
+        let cube = builder.try_process_frame(frame)?;
         let range = cube.range_profile();
         // Azimuth profile: sum over velocity and range for the azimuth half.
         let [v_bins, d_bins, _] = cube.shape;
@@ -75,7 +76,8 @@ fn main() {
             0.1,
         );
         let session = record_session(&user, &track, 1, &CaptureConfig::default());
-        let cube = builder.process_frame(&session.frames[0]);
+        let cube = builder.try_process_frame(&session.frames[0])?;
         println!("{:<10} range: {}", gesture.name(), strip(&cube.range_profile()));
     }
+    Ok(())
 }

@@ -80,7 +80,7 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, usize) {
 
 #[test]
 fn steady_state_frame_allocates_only_its_output() {
-    let builder = CubeBuilder::new(CubeConfig::default());
+    let builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
     let chirp = builder.config().chirp;
     let mut scene = Scene::new(0.01);
     scene.add_targets(vec![PointTarget::fixed(Vec3::new(0.05, 0.3, 0.02), 1.0)]);

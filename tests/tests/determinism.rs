@@ -11,8 +11,8 @@
 //! splitting, cross-thread reduction) are genuinely exercised even there.
 
 use mmhand_core::cube::{CubeBuilder, CubeConfig};
-use mmhand_core::dataset::session_to_sequences;
-use mmhand_core::eval::{build_cohort, cross_validate, DataConfig};
+use mmhand_core::dataset::try_session_to_sequences;
+use mmhand_core::eval::{try_build_cohort, try_cross_validate, DataConfig};
 use mmhand_core::metrics::JointGroup;
 use mmhand_core::model::ModelConfig;
 use mmhand_core::train::{TrainConfig, TrainedModel, Trainer};
@@ -70,13 +70,14 @@ fn tiny_model(data: &DataConfig) -> ModelConfig {
 }
 
 fn train_tiny(data: &DataConfig) -> (TrainedModel, Vec<Vec<Vec<f32>>>) {
-    let sequences = build_cohort(data);
+    let sequences = try_build_cohort(data).unwrap();
     assert!(!sequences.is_empty());
     let trained = Trainer::new(
         tiny_model(data),
         TrainConfig { epochs: 6, batch_size: 4, ..Default::default() },
     )
-    .train(&sequences);
+    .try_train(&sequences)
+    .unwrap();
     let preds = sequences
         .iter()
         .map(|s| trained.predict_sequence(&s.segments))
@@ -124,11 +125,11 @@ fn cube_processing_is_identical_across_thread_counts() {
         0.1,
     );
     let session = record_session(&user, &track, 8, &data.capture);
-    let builder = CubeBuilder::new(data.cube.clone());
+    let builder = CubeBuilder::try_new(data.cube.clone()).unwrap();
 
-    let par = session_to_sequences(&builder, &session, 2, 1);
+    let par = try_session_to_sequences(&builder, &session, 2, 1).unwrap();
     let seq = mmhand_parallel::sequential_scope(|| {
-        session_to_sequences(&builder, &session, 2, 1)
+        try_session_to_sequences(&builder, &session, 2, 1).unwrap()
     });
     assert_eq!(par.len(), seq.len());
     for (a, b) in par.iter().zip(&seq) {
@@ -143,13 +144,13 @@ fn cross_validation_is_identical_across_thread_counts() {
     ensure_pool();
     let data = tiny_data_config();
     let data = DataConfig { users: 4, ..data };
-    let sequences = build_cohort(&data);
+    let sequences = try_build_cohort(&data).unwrap();
     let model_cfg = tiny_model(&data);
     let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
 
-    let par = cross_validate(&sequences, &model_cfg, &train_cfg, 2);
+    let par = try_cross_validate(&sequences, &model_cfg, &train_cfg, 2).unwrap();
     let seq = mmhand_parallel::sequential_scope(|| {
-        cross_validate(&sequences, &model_cfg, &train_cfg, 2)
+        try_cross_validate(&sequences, &model_cfg, &train_cfg, 2).unwrap()
     });
     assert_eq!(par.per_user.len(), seq.per_user.len());
     let pm = par.overall.mpjpe(JointGroup::Overall);
@@ -164,12 +165,13 @@ fn cross_validation_is_identical_across_thread_counts() {
 /// int8 one calibrated on the training cohort), plus a 12-frame window of
 /// a fresh capture to run them on.
 fn tiny_pipelines(data: &DataConfig) -> (Vec<MmHandPipeline>, Vec<RawFrame>) {
-    let sequences = build_cohort(data);
+    let sequences = try_build_cohort(data).unwrap();
     let trained = Trainer::new(
         tiny_model(data),
         TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
     )
-    .train(&sequences);
+    .try_train(&sequences)
+    .unwrap();
     let calibration: Vec<_> =
         sequences.iter().flat_map(|s| s.segments.iter().cloned()).collect();
     let pipelines = [Precision::F32, Precision::Int8]

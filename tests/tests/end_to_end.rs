@@ -3,8 +3,8 @@
 //! regression → mesh reconstruction.
 
 use mmhand_core::cube::{CubeBuilder, CubeConfig};
-use mmhand_core::dataset::session_to_sequences;
-use mmhand_core::eval::{build_cohort, DataConfig};
+use mmhand_core::dataset::try_session_to_sequences;
+use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::mesh::MeshReconstructor;
 use mmhand_core::metrics::{JointErrors, JointGroup};
 use mmhand_core::model::ModelConfig;
@@ -60,14 +60,15 @@ fn tiny_model(data: &DataConfig) -> ModelConfig {
 #[test]
 fn full_pipeline_learns_and_estimates() {
     let data = tiny_data_config();
-    let sequences = build_cohort(&data);
+    let sequences = try_build_cohort(&data).unwrap();
     assert!(!sequences.is_empty());
 
     let trained = Trainer::new(
         tiny_model(&data),
         TrainConfig { epochs: 30, batch_size: 4, ..Default::default() },
     )
-    .train(&sequences);
+    .try_train(&sequences)
+    .unwrap();
 
     // Loss must fall substantially.
     let first = trained.history.first().unwrap().loss;
@@ -83,12 +84,12 @@ fn full_pipeline_learns_and_estimates() {
         0.3,
     );
     let session = record_session(&user, &track, 8, &data.capture);
-    let mut pipeline = MmHandPipeline::new(
-        CubeBuilder::new(data.cube.clone()),
-        trained,
-        MeshReconstructor::new(0),
-    );
-    let out = pipeline.estimate(&session.frames);
+    let mut pipeline = MmHandPipeline::builder_for(trained)
+        .cube_config(data.cube.clone())
+        .mesh(MeshReconstructor::new(0))
+        .build()
+        .unwrap();
+    let out = pipeline.try_estimate(&session.frames).unwrap();
     assert_eq!(out.skeletons.len(), 4);
     assert_eq!(out.hands.len(), 4);
     for (skel, hand) in out.skeletons.iter().zip(&out.hands) {
@@ -109,9 +110,9 @@ fn trained_model_tracks_hand_position_changes() {
     // Training data must cover both ranges, as in the paper's 20-40 cm
     // collection protocol.
     let data = tiny_data_config();
-    let mut sequences = build_cohort(&data);
+    let mut sequences = try_build_cohort(&data).unwrap();
     let far = DataConfig { hand_position: Vec3::new(0.0, 0.38, 0.0), seed: 77, ..data.clone() };
-    sequences.extend(build_cohort(&far));
+    sequences.extend(try_build_cohort(&far).unwrap());
     // γ = 0: at this smoke scale the kinematic regulariser makes the
     // constant straight-hand pose (which minimises L_kine exactly) the
     // training attractor, collapsing position output to the cohort mean
@@ -125,10 +126,11 @@ fn trained_model_tracks_hand_position_changes() {
             ..Default::default()
         },
     )
-    .train(&sequences);
+    .try_train(&sequences)
+    .unwrap();
 
     let user = UserProfile::generate(1, data.seed);
-    let builder = CubeBuilder::new(data.cube.clone());
+    let builder = CubeBuilder::try_new(data.cube.clone()).unwrap();
     let mut wrists = Vec::new();
     for y in [0.25_f32, 0.38] {
         let track = GestureTrack::from_gestures(
@@ -138,7 +140,7 @@ fn trained_model_tracks_hand_position_changes() {
             0.1,
         );
         let session = record_session(&user, &track, 4, &data.capture);
-        let seqs = session_to_sequences(&builder, &session, 2, 1);
+        let seqs = try_session_to_sequences(&builder, &session, 2, 1).unwrap();
         let preds = trained.predict_sequence(&seqs[0].segments);
         wrists.push(preds[0][1]); // wrist y
     }
@@ -155,8 +157,8 @@ fn trained_model_tracks_hand_position_changes() {
 fn cross_crate_determinism() {
     // The same seeds must yield bit-identical data and training outcomes.
     let data = tiny_data_config();
-    let a = build_cohort(&data);
-    let b = build_cohort(&data);
+    let a = try_build_cohort(&data).unwrap();
+    let b = try_build_cohort(&data).unwrap();
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.labels, y.labels);
@@ -168,12 +170,14 @@ fn cross_crate_determinism() {
         tiny_model(&data),
         TrainConfig { epochs: 3, batch_size: 4, ..Default::default() },
     )
-    .train(&a);
+    .try_train(&a)
+    .unwrap();
     let t2 = Trainer::new(
         tiny_model(&data),
         TrainConfig { epochs: 3, batch_size: 4, ..Default::default() },
     )
-    .train(&b);
+    .try_train(&b)
+    .unwrap();
     assert_eq!(t1.store.snapshot(), t2.store.snapshot());
 }
 
@@ -183,20 +187,21 @@ fn obstacle_degrades_accuracy_relative_to_clear_path() {
     // hurt (paper Fig. 25's mechanism).
     use mmhand_radar::impairments::ObstacleMaterial;
     let data = tiny_data_config();
-    let sequences = build_cohort(&data);
+    let sequences = try_build_cohort(&data).unwrap();
     let trained = Trainer::new(
         tiny_model(&data),
         TrainConfig { epochs: 30, batch_size: 4, ..Default::default() },
     )
-    .train(&sequences);
+    .try_train(&sequences)
+    .unwrap();
 
     let user = UserProfile::generate(1, data.seed);
     let track = user.random_track(Vec3::new(0.0, 0.3, 0.0), 4, 99);
-    let builder = CubeBuilder::new(data.cube.clone());
+    let builder = CubeBuilder::try_new(data.cube.clone()).unwrap();
     let eval_with = |obstacle: Option<(ObstacleMaterial, f32)>| -> f32 {
         let capture = CaptureConfig { obstacle, ..data.capture.clone() };
         let session = record_session(&user, &track, 24, &capture);
-        let seqs = session_to_sequences(&builder, &session, 2, 1);
+        let seqs = try_session_to_sequences(&builder, &session, 2, 1).unwrap();
         let mut errors = JointErrors::new();
         for s in &seqs {
             let preds = trained.predict_sequence(&s.segments);

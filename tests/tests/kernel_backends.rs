@@ -116,7 +116,7 @@ fn filter_reproduces_pre_dispatch_bits_on_every_backend() {
 /// bit-identical.
 #[test]
 fn cube_and_mesh_reproduce_pre_dispatch_bits_on_selected_backend() {
-    let builder = CubeBuilder::new(CubeConfig::default());
+    let builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
     let cfg = mmhand_radar::ChirpConfig::default();
     let array = mmhand_radar::VirtualArray::new(&cfg);
     let mut scene = mmhand_radar::Scene::new(0.02);
@@ -126,7 +126,7 @@ fn cube_and_mesh_reproduce_pre_dispatch_bits_on_selected_backend() {
     )]);
     let mut rng = stream_rng(5, "golden-cube");
     let frame = mmhand_radar::synth::synthesize_frame(&cfg, &array, &scene, &mut rng);
-    let cube = builder.process_frame(&frame);
+    let cube = builder.try_process_frame(&frame).unwrap();
     let backend = builder.kernel_backend();
     assert_eq!(bits(&cube.data), 0xb5a8c95c, "cube hash ({backend})");
 

@@ -12,9 +12,9 @@
 //!    quantization is a compression decision, not a different model.
 
 use mmhand_core::cube::CubeConfig;
-use mmhand_core::eval::{build_cohort, train_reference_model, DataConfig};
+use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::model::ModelConfig;
-use mmhand_core::train::{TrainConfig, TrainedModel};
+use mmhand_core::train::{TrainConfig, TrainedModel, Trainer};
 use mmhand_core::{MmHandPipeline, Precision};
 use mmhand_hand::gesture::Gesture;
 use mmhand_hand::trajectory::GestureTrack;
@@ -65,12 +65,9 @@ fn tiny_model() -> TrainedModel {
         lstm_hidden: 24,
         ..data.model_config()
     };
-    let seqs = build_cohort(&data);
-    train_reference_model(
-        &seqs,
-        &model_cfg,
-        &TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
-    )
+    let seqs = try_build_cohort(&data).unwrap();
+    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
+    Trainer::new(model_cfg, train_cfg).try_train(&seqs).unwrap()
 }
 
 fn stream(seed: u64, frames: usize) -> Vec<RawFrame> {
@@ -101,7 +98,8 @@ fn pipeline_at(model: TrainedModel, precision: Precision) -> MmHandPipeline {
             .cube_config(cube)
             .build()
             .expect("probe pipeline assembles");
-        builder = builder.calibration_segments(probe.frames_to_segments(&stream(97, 12)));
+        let calibration = probe.try_frames_to_segments(&stream(97, 12)).unwrap();
+        builder = builder.calibration_segments(calibration);
     }
     builder.build().expect("pipeline assembles")
 }

@@ -7,7 +7,7 @@
 //! in the stack is fixed-order — must not change a single bit of the
 //! resulting parameters, gradients or loss history.
 
-use mmhand_core::eval::{build_cohort, DataConfig};
+use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::cube::CubeConfig;
 use mmhand_core::model::ModelConfig;
 use mmhand_core::train::{TrainConfig, TrainedModel, Trainer};
@@ -79,7 +79,7 @@ fn training_is_bitwise_identical_at_widths_1_2_4_8() {
     // even on a single-CPU CI runner.
     let _ = mmhand_parallel::configure_threads(8);
     let data = tiny_data_config();
-    let sequences = build_cohort(&data);
+    let sequences = try_build_cohort(&data).unwrap();
     assert!(!sequences.is_empty());
     let model_cfg = tiny_model(&data);
     let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
@@ -88,7 +88,7 @@ fn training_is_bitwise_identical_at_widths_1_2_4_8() {
     for cap in [1usize, 2, 4, 8] {
         let trained = mmhand_parallel::with_thread_cap(cap, || {
             assert_eq!(mmhand_parallel::num_threads(), cap.min(8));
-            Trainer::new(model_cfg.clone(), train_cfg.clone()).train(&sequences)
+            Trainer::new(model_cfg.clone(), train_cfg.clone()).try_train(&sequences).unwrap()
         });
         let fp = fingerprint(&trained);
         match &reference {

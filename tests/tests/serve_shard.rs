@@ -5,9 +5,9 @@
 //! active session count — stays bounded under unbounded session turnover.
 
 use mmhand_core::cube::CubeConfig;
-use mmhand_core::eval::{build_cohort, train_reference_model, DataConfig};
+use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::model::ModelConfig;
-use mmhand_core::train::TrainConfig;
+use mmhand_core::train::{TrainConfig, Trainer};
 use mmhand_core::MmHandPipeline;
 use mmhand_hand::gesture::Gesture;
 use mmhand_hand::trajectory::GestureTrack;
@@ -17,6 +17,16 @@ use mmhand_radar::capture::{record_session, CaptureConfig};
 use mmhand_radar::{ChirpConfig, Environment, RawFrame};
 use mmhand_serve::{FrameResult, MeshPolicy, ServeConfig, ServeError, ShardedServe};
 use mmhand_telemetry as telemetry;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serialises this file's tests: `long_run_churn_keeps_memory_bounded`
+/// asserts on the process-global `pool.outstanding` gauge, which a sibling
+/// test moves while it holds scratch. Poison-tolerant, so one failing test
+/// does not fail the others.
+fn telemetry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tiny_chirp() -> ChirpConfig {
     ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() }
@@ -61,12 +71,9 @@ fn tiny_pipeline() -> MmHandPipeline {
         lstm_hidden: 24,
         ..data.model_config()
     };
-    let seqs = build_cohort(&data);
-    let model = train_reference_model(
-        &seqs,
-        &model_cfg,
-        &TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
-    );
+    let seqs = try_build_cohort(&data).unwrap();
+    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
+    let model = Trainer::new(model_cfg, train_cfg).try_train(&seqs).unwrap();
     // Calibration is always supplied; the precision itself follows the
     // documented MMHAND_PRECISION fallback so CI's precision matrix can
     // drive this suite through both the f32 and int8 paths.
@@ -74,7 +81,7 @@ fn tiny_pipeline() -> MmHandPipeline {
         .cube_config(cube.clone())
         .build()
         .expect("tiny probe pipeline assembles");
-    let calibration = probe.frames_to_segments(&stream(97, 12));
+    let calibration = probe.try_frames_to_segments(&stream(97, 12)).unwrap();
     MmHandPipeline::builder_for(model)
         .cube_config(cube)
         .calibration_segments(calibration)
@@ -105,6 +112,7 @@ fn stream(seed: u64, frames: usize) -> Vec<RawFrame> {
 /// it never changes their arithmetic.
 #[test]
 fn shard_widths_match_sequential_pipeline_bitwise() {
+    let _lock = telemetry_lock();
     let n_sessions = 8;
     let frames_per_session = 8;
     let pipeline = tiny_pipeline();
@@ -185,6 +193,7 @@ fn shard_widths_match_sequential_pipeline_bitwise() {
 /// (it retains one entry per evicted session forever).
 #[test]
 fn long_run_churn_keeps_memory_bounded() {
+    let _lock = telemetry_lock();
     let shards = 2;
     let tombstone_capacity = 16;
     let mut serve = ShardedServe::new(
@@ -272,6 +281,7 @@ fn long_run_churn_keeps_memory_bounded() {
 /// same typed error the single engine raises.
 #[test]
 fn sharded_admission_is_global_and_typed() {
+    let _lock = telemetry_lock();
     let mut serve = ShardedServe::new(
         tiny_pipeline(),
         4,

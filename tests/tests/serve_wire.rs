@@ -6,9 +6,9 @@
 //! identical to the sequential pipeline's.
 
 use mmhand_core::cube::CubeConfig;
-use mmhand_core::eval::{build_cohort, train_reference_model, DataConfig};
+use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::model::ModelConfig;
-use mmhand_core::train::TrainConfig;
+use mmhand_core::train::{TrainConfig, Trainer};
 use mmhand_core::MmHandPipeline;
 use mmhand_hand::gesture::Gesture;
 use mmhand_hand::trajectory::GestureTrack;
@@ -64,12 +64,9 @@ fn tiny_pipeline() -> MmHandPipeline {
         lstm_hidden: 24,
         ..data.model_config()
     };
-    let seqs = build_cohort(&data);
-    let model = train_reference_model(
-        &seqs,
-        &model_cfg,
-        &TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
-    );
+    let seqs = try_build_cohort(&data).unwrap();
+    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
+    let model = Trainer::new(model_cfg, train_cfg).try_train(&seqs).unwrap();
     // Calibration is always supplied; the precision itself follows the
     // documented MMHAND_PRECISION fallback so CI's precision matrix can
     // drive this suite through both the f32 and int8 paths.
@@ -77,7 +74,7 @@ fn tiny_pipeline() -> MmHandPipeline {
         .cube_config(cube.clone())
         .build()
         .expect("tiny probe pipeline assembles");
-    let calibration = probe.frames_to_segments(&stream(97, 12));
+    let calibration = probe.try_frames_to_segments(&stream(97, 12)).unwrap();
     MmHandPipeline::builder_for(model)
         .cube_config(cube)
         .calibration_segments(calibration)

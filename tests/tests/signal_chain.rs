@@ -23,7 +23,7 @@ fn capture(track: &GestureTrack, frames: usize, seed: u64) -> mmhand_radar::Capt
 }
 
 fn cube_peak_range(builder: &mut CubeBuilder, frame: &mmhand_radar::RawFrame) -> f64 {
-    let cube = builder.process_frame(frame);
+    let cube = builder.try_process_frame(frame).unwrap();
     let profile = cube.range_profile();
     let best = (0..profile.len())
         .max_by(|&a, &b| profile[a].total_cmp(&profile[b]))
@@ -33,7 +33,7 @@ fn cube_peak_range(builder: &mut CubeBuilder, frame: &mmhand_radar::RawFrame) ->
 
 #[test]
 fn cube_range_tracks_true_hand_range() {
-    let mut builder = CubeBuilder::new(CubeConfig::default());
+    let mut builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
     for y in [0.25_f32, 0.35, 0.5] {
         let track = GestureTrack::from_gestures(
             &[Gesture::OpenPalm],
@@ -53,11 +53,11 @@ fn cube_range_tracks_true_hand_range() {
 #[test]
 fn cube_azimuth_tracks_swipe() {
     // During a swipe the azimuth energy centroid must move with the hand.
-    let mut builder = CubeBuilder::new(CubeConfig::default());
+    let mut builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
     let track = swipe_track(Vec3::new(0.0, 0.3, 0.0), 0.24, 2.0, 1);
     let session = capture(&track, 24, 8);
     let az_centroid = |frame: &mmhand_radar::RawFrame, b: &mut CubeBuilder| -> f32 {
-        let cube = b.process_frame(frame);
+        let cube = b.try_process_frame(frame).unwrap();
         let [v_bins, d_bins, _] = cube.shape;
         let az_bins = b.config().azimuth_bins;
         let mut num = 0.0;
@@ -88,7 +88,7 @@ fn cube_azimuth_tracks_swipe() {
 fn gesture_changes_are_visible_in_the_cube() {
     // Different gestures at the same position must produce measurably
     // different cubes — the information the network learns from.
-    let builder = CubeBuilder::new(CubeConfig::default());
+    let builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
     let pos = Vec3::new(0.0, 0.3, 0.0);
     let mut cubes = Vec::new();
     for g in [Gesture::OpenPalm, Gesture::Fist] {
@@ -96,9 +96,9 @@ fn gesture_changes_are_visible_in_the_cube() {
         let session = capture(&track, 1, 9);
         let st = builder.config().frames_per_segment;
         let frames: Vec<_> = (0..st)
-            .map(|_| builder.process_frame(&session.frames[0]))
+            .map(|_| builder.try_process_frame(&session.frames[0]).unwrap())
             .collect();
-        cubes.push(builder.segment_tensor(&frames));
+        cubes.push(builder.try_segment_tensor(&frames).unwrap());
     }
     let diff: f32 = cubes[0]
         .data()
@@ -118,11 +118,11 @@ fn environment_clutter_barely_leaks_into_the_hand_band() {
     let pos = Vec3::new(0.0, 0.3, 0.0);
     let track = GestureTrack::from_gestures(&[Gesture::OpenPalm], pos, 1.0, 0.1);
     let user = UserProfile::generate(1, 3);
-    let builder = CubeBuilder::new(CubeConfig::default());
+    let builder = CubeBuilder::try_new(CubeConfig::default()).unwrap();
     let cube_for = |env: Environment| {
         let cfg = CaptureConfig { environment: env, noise_sigma: 0.0, seed: 3, ..Default::default() };
         let session = record_session(&user, &track, 1, &cfg);
-        builder.process_frame(&session.frames[0])
+        builder.try_process_frame(&session.frames[0]).unwrap()
     };
     let playground = cube_for(Environment::Playground);
     let classroom = cube_for(Environment::Classroom);

@@ -3,10 +3,11 @@
 //! global enable flag must actually gate recording.
 //!
 //! This file is its own test binary so it can toggle the process-global
-//! telemetry switch without racing other integration tests.
+//! telemetry switch without racing other integration tests, and its tests
+//! hold [`telemetry_lock`] so they do not race each other.
 
-use mmhand_core::cube::{CubeBuilder, CubeConfig};
-use mmhand_core::eval::{build_cohort, DataConfig};
+use mmhand_core::cube::CubeConfig;
+use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::mesh::MeshReconstructor;
 use mmhand_core::model::ModelConfig;
 use mmhand_core::pipeline::MmHandPipeline;
@@ -16,7 +17,16 @@ use mmhand_math::Vec3;
 use mmhand_radar::capture::{record_session, CaptureConfig};
 use mmhand_radar::{ChirpConfig, Environment};
 use mmhand_telemetry as telemetry;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// Serialises the tests that toggle or read the process-global enabled
+/// flag and registry. Poison-tolerant, so one failing test does not fail
+/// the other.
+fn telemetry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tiny_data_config() -> DataConfig {
     let chirp = ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() };
@@ -55,6 +65,7 @@ fn noop_telemetry_overhead_is_under_two_percent_of_pipeline() {
     // no-op (disabled) mode and demand they cost < 2 % of the end-to-end
     // wall-clock: the price of leaving instrumentation compiled into the
     // hot paths when a deployment turns telemetry off.
+    let _lock = telemetry_lock();
     telemetry::reset();
     telemetry::set_enabled(true);
     let data = tiny_data_config();
@@ -67,21 +78,22 @@ fn noop_telemetry_overhead_is_under_two_percent_of_pipeline() {
     };
 
     let t0 = Instant::now();
-    let sequences = build_cohort(&data);
+    let sequences = try_build_cohort(&data).unwrap();
     let trained = Trainer::new(
         model,
         TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
     )
-    .train(&sequences);
+    .try_train(&sequences)
+    .unwrap();
     let user = UserProfile::generate(1, data.seed);
     let track = user.random_track(Vec3::new(0.0, 0.3, 0.0), 2, 7);
     let session = record_session(&user, &track, 8, &data.capture);
-    let mut pipeline = MmHandPipeline::new(
-        CubeBuilder::new(data.cube.clone()),
-        trained,
-        MeshReconstructor::new(0),
-    );
-    let out = pipeline.estimate(&session.frames);
+    let mut pipeline = MmHandPipeline::builder_for(trained)
+        .cube_config(data.cube.clone())
+        .mesh(MeshReconstructor::new(0))
+        .build()
+        .unwrap();
+    let out = pipeline.try_estimate(&session.frames).unwrap();
     assert!(!out.skeletons.is_empty());
     let end_to_end_ns = t0.elapsed().as_nanos();
 
@@ -125,6 +137,7 @@ fn noop_telemetry_overhead_is_under_two_percent_of_pipeline() {
 
 #[test]
 fn disabled_mode_records_nothing_enabled_mode_records() {
+    let _lock = telemetry_lock();
     telemetry::reset();
     telemetry::set_enabled(false);
     let c = telemetry::counter("smoke.gate.counter");

@@ -86,8 +86,8 @@ fn tiny_sequences(cube_cfg: &CubeConfig, n_frames: usize, user_seed: u64) -> Vec
         ..Default::default()
     };
     let session = record_session(&user, &track, n_frames, &capture);
-    let builder = mmhand_core::cube::CubeBuilder::new(cube_cfg.clone());
-    mmhand_core::dataset::session_to_sequences(&builder, &session, 2, 1)
+    let builder = mmhand_core::cube::CubeBuilder::try_new(cube_cfg.clone()).unwrap();
+    mmhand_core::dataset::try_session_to_sequences(&builder, &session, 2, 1).unwrap()
 }
 
 /// Frozen pre-refactor hash of the 5-epoch `(loss, l3d, lkine)` trajectory.
@@ -108,7 +108,7 @@ fn five_epoch_training_reproduces_frozen_bits() {
         model_cfg,
         TrainConfig { epochs: 5, batch_size: 4, ..Default::default() },
     );
-    let trained = trainer.train(&seqs);
+    let trained = trainer.try_train(&seqs).unwrap();
 
     let traj: Vec<f32> = trained
         .history
