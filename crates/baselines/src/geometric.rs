@@ -144,24 +144,14 @@ mod tests {
     use mmhand_core::cube::CubeBuilder;
     use mmhand_core::dataset::try_session_to_sequences;
     use mmhand_core::metrics::JointGroup;
+    use mmhand_core::tiny;
     use mmhand_hand::gesture::Gesture;
     use mmhand_hand::trajectory::GestureTrack;
     use mmhand_hand::user::UserProfile;
-    use mmhand_radar::capture::{record_session, CaptureConfig};
-    use mmhand_radar::{ChirpConfig, Environment};
+    use mmhand_radar::capture::record_session;
 
     fn tiny_setup() -> (CubeConfig, Vec<SegmentSequence>) {
-        let chirp = ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() };
-        let cube = CubeConfig {
-            chirp,
-            range_bins: 8,
-            doppler_bins: 4,
-            azimuth_bins: 4,
-            elevation_bins: 4,
-            frames_per_segment: 2,
-            range_max_m: 0.55,
-            ..Default::default()
-        };
+        let data = tiny::data(0);
         let user = UserProfile::generate(1, 21);
         let track = GestureTrack::from_gestures(
             &[Gesture::OpenPalm, Gesture::Fist],
@@ -169,16 +159,10 @@ mod tests {
             0.3,
             0.3,
         );
-        let capture = CaptureConfig {
-            chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            ..Default::default()
-        };
-        let session = record_session(&user, &track, 24, &capture);
-        let builder = CubeBuilder::try_new(cube.clone()).unwrap();
+        let session = record_session(&user, &track, 24, &data.capture);
+        let builder = CubeBuilder::try_new(data.cube.clone()).unwrap();
         let seqs = try_session_to_sequences(&builder, &session, 2, 1).unwrap();
-        (cube, seqs)
+        (data.cube, seqs)
     }
 
     #[test]

@@ -178,46 +178,10 @@ pub fn try_cross_validate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmhand_radar::{ChirpConfig, Environment};
+    use crate::tiny;
 
-    /// Small-but-real configuration for tests.
-    pub(crate) fn tiny_data_config() -> DataConfig {
-        let chirp = ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() };
-        let cube = CubeConfig {
-            chirp,
-            range_bins: 8,
-            doppler_bins: 4,
-            azimuth_bins: 4,
-            elevation_bins: 4,
-            frames_per_segment: 2,
-            range_max_m: 0.55,
-            ..Default::default()
-        };
-        DataConfig {
-            users: 4,
-            frames_per_user: 24,
-            gestures_per_track: 3,
-            seq_len: 2,
-            capture: CaptureConfig {
-                chirp,
-                environment: Environment::Playground,
-                noise_sigma: 0.005,
-                ..Default::default()
-            },
-            cube,
-            seed: 9,
-            ..Default::default()
-        }
-    }
-
-    fn tiny_model(cfg: &DataConfig) -> ModelConfig {
-        ModelConfig {
-            channels: 6,
-            blocks: 1,
-            feature_dim: 24,
-            lstm_hidden: 24,
-            ..cfg.model_config()
-        }
+    fn tiny_data_config() -> DataConfig {
+        DataConfig { users: 4, frames_per_user: 24, gestures_per_track: 3, ..tiny::data(9) }
     }
 
     #[test]
@@ -234,13 +198,7 @@ mod tests {
     fn cross_validation_tests_every_user_out_of_fold() {
         let cfg = tiny_data_config();
         let seqs = try_build_cohort(&cfg).unwrap();
-        let cv = try_cross_validate(
-            &seqs,
-            &tiny_model(&cfg),
-            &TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
-            2,
-        )
-        .unwrap();
+        let cv = try_cross_validate(&seqs, &tiny::model(&cfg), &tiny::train_config(), 2).unwrap();
         let tested: Vec<usize> = cv.per_user.iter().map(|(u, _)| *u).collect();
         assert_eq!(tested, vec![1, 2, 3, 4]);
         assert!(!cv.overall.is_empty());
@@ -255,7 +213,7 @@ mod tests {
         // nothing: both are rejected before any training starts.
         let cfg = tiny_data_config();
         let seqs = try_build_cohort(&cfg).unwrap();
-        let model_cfg = tiny_model(&cfg);
+        let model_cfg = tiny::model(&cfg);
         let train_cfg = TrainConfig { epochs: 1, ..Default::default() };
         for folds in [0, 1] {
             assert!(matches!(

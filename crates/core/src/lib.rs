@@ -19,7 +19,9 @@
 //! * [`pipeline`] — the end-to-end frames → skeletons → meshes estimator
 //!   with stage timing (Fig. 26),
 //! * [`recognize`] — template-based gesture classification on predicted
-//!   skeletons (the interface-control application layer).
+//!   skeletons (the interface-control application layer),
+//! * [`tiny`] — the one scaled-down reference stack that the tests and the
+//!   serving binaries train and run.
 //!
 //! # Examples
 //!
@@ -56,6 +58,7 @@ pub mod model;
 pub mod pipeline;
 pub mod precision;
 pub mod recognize;
+pub mod tiny;
 pub mod train;
 
 pub use cube::{CubeBuilder, CubeConfig, CubeFrame};

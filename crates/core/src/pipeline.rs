@@ -394,60 +394,15 @@ impl PipelineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube::CubeConfig;
-    use crate::eval::{try_build_cohort, DataConfig};
-    use crate::model::ModelConfig;
-    use crate::train::{TrainConfig, Trainer};
+    use crate::tiny;
     use mmhand_hand::gesture::Gesture;
     use mmhand_hand::trajectory::GestureTrack;
     use mmhand_hand::user::UserProfile;
     use mmhand_math::Vec3;
     use mmhand_radar::capture::{record_session, CaptureConfig};
-    use mmhand_radar::{ChirpConfig, Environment};
 
-    fn tiny_pipeline() -> (MmHandPipeline, Vec<mmhand_radar::RawFrame>) {
-        let chirp = ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() };
-        let cube = CubeConfig {
-            chirp,
-            range_bins: 8,
-            doppler_bins: 4,
-            azimuth_bins: 4,
-            elevation_bins: 4,
-            frames_per_segment: 2,
-            range_max_m: 0.55,
-            ..Default::default()
-        };
-        let data = DataConfig {
-            users: 2,
-            frames_per_user: 16,
-            gestures_per_track: 2,
-            seq_len: 2,
-            capture: CaptureConfig {
-                chirp,
-                environment: Environment::Playground,
-                noise_sigma: 0.005,
-                ..Default::default()
-            },
-            cube: cube.clone(),
-            seed: 3,
-            ..Default::default()
-        };
-        let model_cfg = ModelConfig {
-            channels: 6,
-            blocks: 1,
-            feature_dim: 24,
-            lstm_hidden: 24,
-            ..data.model_config()
-        };
-        let seqs = try_build_cohort(&data).unwrap();
-        let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
-        let model = Trainer::new(model_cfg, train_cfg).try_train(&seqs).unwrap();
-        let pipeline = MmHandPipeline::builder_for(model)
-            .cube_config(cube)
-            .mesh(crate::mesh::MeshReconstructor::new(0))
-            .build()
-            .unwrap();
-        // A fresh capture to run inference on.
+    /// The tiny stack at f32 plus a fresh 8-frame capture to run it on.
+    fn tiny_pipeline() -> (MmHandPipeline, Vec<RawFrame>) {
         let user = UserProfile::generate(1, 3);
         let track = GestureTrack::from_gestures(
             &[Gesture::OpenPalm, Gesture::Victory],
@@ -455,13 +410,10 @@ mod tests {
             0.3,
             0.3,
         );
-        let session = record_session(
-            &user,
-            &track,
-            8,
-            &CaptureConfig { chirp, noise_sigma: 0.005, ..Default::default() },
-        );
-        (pipeline, session.frames)
+        let capture =
+            CaptureConfig { chirp: tiny::cube().chirp, noise_sigma: 0.005, ..Default::default() };
+        let frames = record_session(&user, &track, 8, &capture).frames;
+        (tiny::pipeline(3, &frames, Some(Precision::F32)).unwrap(), frames)
     }
 
     #[test]
@@ -539,10 +491,7 @@ mod tests {
 
     /// Rebuilds `pipeline`'s parts through the builder at int8, calibrated
     /// on its own inference segments.
-    fn quantize_pipeline(
-        pipeline: &mut MmHandPipeline,
-        frames: &[mmhand_radar::RawFrame],
-    ) -> MmHandPipeline {
+    fn quantize_pipeline(pipeline: &mut MmHandPipeline, frames: &[RawFrame]) -> MmHandPipeline {
         let segments = pipeline.try_frames_to_segments(frames).unwrap();
         MmHandPipeline::builder_for(pipeline.model().clone())
             .cube_config(pipeline.builder().config().clone())

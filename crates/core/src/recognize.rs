@@ -118,11 +118,6 @@ impl GestureRecognizer {
         GestureRecognizer { templates }
     }
 
-    /// Number of gestures in the vocabulary.
-    pub fn vocabulary_size(&self) -> usize {
-        self.templates.len()
-    }
-
     /// Classifies a flat 63-float skeleton.
     ///
     /// # Panics

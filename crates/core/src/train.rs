@@ -584,38 +584,15 @@ mod tests {
     use super::*;
     use crate::cube::{CubeBuilder, CubeConfig};
     use crate::dataset::try_session_to_sequences;
+    use crate::tiny;
     use mmhand_hand::gesture::Gesture;
     use mmhand_hand::trajectory::GestureTrack;
     use mmhand_hand::user::UserProfile;
     use mmhand_math::Vec3;
     use mmhand_radar::capture::{record_session, CaptureConfig};
-    use mmhand_radar::{ChirpConfig, Environment};
 
-    /// A tiny radar/cube/model stack that trains in seconds.
     fn tiny_stack() -> (CubeConfig, ModelConfig) {
-        let chirp = ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() };
-        let cube = CubeConfig {
-            chirp,
-            range_bins: 8,
-            doppler_bins: 4,
-            azimuth_bins: 4,
-            elevation_bins: 4,
-            frames_per_segment: 2,
-            range_max_m: 0.55,
-            ..Default::default()
-        };
-        let model = ModelConfig {
-            frames_per_segment: 2,
-            doppler_bins: 4,
-            range_bins: 8,
-            angle_bins: 8,
-            channels: 6,
-            blocks: 1,
-            feature_dim: 24,
-            lstm_hidden: 24,
-            ..ModelConfig::default()
-        };
-        (cube, model)
+        (tiny::cube(), tiny::model(&tiny::data(0)))
     }
 
     fn tiny_sequences(cube_cfg: &CubeConfig, n_frames: usize, user_seed: u64) -> Vec<SegmentSequence> {
@@ -626,13 +603,7 @@ mod tests {
             0.3,
             0.3,
         );
-        let capture = CaptureConfig {
-            chirp: cube_cfg.chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            seed: user_seed,
-            ..Default::default()
-        };
+        let capture = CaptureConfig { seed: user_seed, ..tiny::data(0).capture };
         let session = record_session(&user, &track, n_frames, &capture);
         let builder = CubeBuilder::try_new(cube_cfg.clone()).unwrap();
         try_session_to_sequences(&builder, &session, 2, 1).unwrap()

@@ -122,11 +122,6 @@ impl ManoModel {
         self.faces.len()
     }
 
-    /// Rest-pose joint locations `J(β)` for shape coefficients `beta`.
-    pub fn joints_for_beta(&self, beta: &[f32]) -> [Vec3; JOINT_COUNT] {
-        HandPose::open().joints(&HandShape::from_beta(beta))
-    }
-
     /// Evaluates the deformed template `T_p(β, θ) = T̄ + B_s(β) + B_p(θ)`
     /// (Eq. 11) *without* posing — vertices remain in the rest pose.
     pub fn deformed_template(&self, beta: &[f32], theta: &[Vec3; JOINT_COUNT]) -> Vec<Vec3> {

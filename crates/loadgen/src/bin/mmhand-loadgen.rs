@@ -36,17 +36,8 @@
 //! JSON artifact (`--json`), which CI archives next to the benchmark
 //! timings.
 
-use mmhand_core::cube::CubeConfig;
-use mmhand_core::eval::{try_build_cohort, DataConfig};
-use mmhand_core::model::ModelConfig;
-use mmhand_core::train::{TrainConfig, Trainer};
-use mmhand_core::{MmHandPipeline, Precision};
-use mmhand_hand::gesture::Gesture;
-use mmhand_hand::trajectory::GestureTrack;
-use mmhand_hand::user::UserProfile;
-use mmhand_math::Vec3;
-use mmhand_radar::capture::{record_session, CaptureConfig};
-use mmhand_radar::{ChirpConfig, Environment, RawFrame};
+use mmhand_core::{tiny, MmHandPipeline, PipelineError, Precision};
+use mmhand_radar::RawFrame;
 use mmhand_serve::{InferenceProfile, MeshPolicy, ServeConfig, ServeError, ShardedServe};
 use mmhand_telemetry as telemetry;
 use std::collections::VecDeque;
@@ -192,103 +183,18 @@ fn num(s: &str, name: &str) -> Result<usize, String> {
     s.parse::<usize>().map_err(|e| format!("{name}: {e}"))
 }
 
-fn tiny_chirp() -> ChirpConfig {
-    ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() }
-}
-
-fn tiny_cube() -> CubeConfig {
-    CubeConfig {
-        chirp: tiny_chirp(),
-        range_bins: 8,
-        doppler_bins: 4,
-        azimuth_bins: 4,
-        elevation_bins: 4,
-        frames_per_segment: 2,
-        range_max_m: 0.55,
-        ..Default::default()
-    }
-}
-
-/// Trains the small reference model once; compare mode clones it per width.
-fn build_pipeline(precision: Precision) -> Result<MmHandPipeline, Box<dyn std::error::Error>> {
-    let cube = tiny_cube();
-    let data = DataConfig {
-        users: 2,
-        frames_per_user: 16,
-        gestures_per_track: 2,
-        seq_len: 2,
-        capture: CaptureConfig {
-            chirp: cube.chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            ..Default::default()
-        },
-        cube: cube.clone(),
-        seed: 11,
-        ..Default::default()
-    };
-    let model_cfg = ModelConfig {
-        channels: 6,
-        blocks: 1,
-        feature_dim: 24,
-        lstm_hidden: 24,
-        ..data.model_config()
-    };
-    let seqs = try_build_cohort(&data)?;
-    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
-    let model = Trainer::new(model_cfg, train_cfg).try_train(&seqs)?;
-    let mut builder =
-        MmHandPipeline::builder_for(model.clone()).cube_config(cube.clone()).precision(precision);
-    if precision == Precision::Int8 {
-        // Calibrate on a capture no client replays: the pooled client
-        // streams use seeds 2000..2008, this one sits well apart.
-        let mut probe = MmHandPipeline::builder_for(model).cube_config(cube).build()?;
-        let user = UserProfile::generate(99, 4242);
-        let track = GestureTrack::from_gestures(
-            &[Gesture::OpenPalm, Gesture::Victory, Gesture::Fist],
-            Vec3::new(0.0, 0.3, 0.0),
-            0.3,
-            0.3,
-        );
-        let session = record_session(
-            &user,
-            &track,
-            16,
-            &CaptureConfig { chirp: tiny_chirp(), noise_sigma: 0.005, seed: 4242, ..Default::default() },
-        );
-        let calibration = probe.try_frames_to_segments(&session.frames)?;
-        builder = builder.calibration_segments(calibration);
-    }
-    Ok(builder.build()?)
+/// Trains the tiny reference model once; compare mode clones it per
+/// width. The calibration capture, used at [`Precision::Int8`], is one no
+/// client replays: the pooled client streams use seeds 2000..2008, this
+/// one sits well apart.
+fn build_pipeline(precision: Precision) -> Result<MmHandPipeline, PipelineError> {
+    tiny::pipeline(11, &tiny::stream(99, 4242, 16), Some(precision))
 }
 
 /// A small pool of distinct synthetic captures; sessions draw a stream by
 /// index so thousands of sessions cost eight simulations, not thousands.
 fn frame_pool(n_frames: usize) -> Vec<Vec<RawFrame>> {
-    (0..8)
-        .map(|k| {
-            let seed = 2000 + k as u64;
-            let user = UserProfile::generate(k + 1, seed);
-            let track = GestureTrack::from_gestures(
-                &[Gesture::OpenPalm, Gesture::Victory, Gesture::Fist],
-                Vec3::new(0.0, 0.3, 0.0),
-                0.3,
-                0.3,
-            );
-            record_session(
-                &user,
-                &track,
-                n_frames,
-                &CaptureConfig {
-                    chirp: tiny_chirp(),
-                    noise_sigma: 0.005,
-                    seed,
-                    ..Default::default()
-                },
-            )
-            .frames
-        })
-        .collect()
+    (0..8).map(|k| tiny::stream(k + 1, 2000 + k as u64, n_frames)).collect()
 }
 
 /// One simulated client.

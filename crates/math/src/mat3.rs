@@ -42,16 +42,6 @@ impl Mat3 {
         Mat3 { m: [r0, r1, r2] }
     }
 
-    /// Creates a matrix whose columns are the given vectors.
-    #[inline]
-    pub fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
-        Mat3::from_rows(
-            [c0.x, c1.x, c2.x],
-            [c0.y, c1.y, c2.y],
-            [c0.z, c1.z, c2.z],
-        )
-    }
-
     /// Rotation about the X axis by `theta` radians.
     pub fn rotation_x(theta: f32) -> Self {
         let (s, c) = theta.sin_cos();
@@ -151,16 +141,6 @@ impl Mat3 {
             }
         }
         out
-    }
-
-    /// Returns the column `i` as a vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i > 2`.
-    #[inline]
-    pub fn col(self, i: usize) -> Vec3 {
-        Vec3::new(self.m[0][i], self.m[1][i], self.m[2][i])
     }
 
     /// Returns the row `i` as a vector.

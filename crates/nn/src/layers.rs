@@ -48,11 +48,6 @@ impl Linear {
         tape.add_row_bias(y, b)
     }
 
-    /// Handle of the weight parameter.
-    pub fn weight_id(&self) -> ParamId {
-        self.w
-    }
-
     /// Handle of the bias parameter (useful for output-bias initialisation).
     pub fn bias_id(&self) -> ParamId {
         self.b

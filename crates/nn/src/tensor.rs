@@ -105,11 +105,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a reshaped view (same data, new shape).
     ///
     /// # Panics

@@ -473,26 +473,6 @@ where
     });
 }
 
-/// Runs `f(index)` for every index in `0..n` in parallel — the fork-join
-/// equivalent of a `for` loop whose iterations are independent.
-pub fn par_for_each_index<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if n <= 1 || is_sequential() {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    scope(|s| {
-        for i in 0..n {
-            let f = &f;
-            s.spawn(move || f(i));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

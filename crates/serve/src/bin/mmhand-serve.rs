@@ -35,18 +35,8 @@
 //! Metrics land in `target/mmhand-metrics/BENCH_serve_metrics.{json,prom}`
 //! following the bench harness convention.
 
-use mmhand_core::cube::CubeConfig;
-use mmhand_core::eval::{try_build_cohort, DataConfig};
-use mmhand_core::model::ModelConfig;
-use mmhand_core::train::{TrainConfig, Trainer};
-use mmhand_core::MmHandPipeline;
-use mmhand_hand::gesture::Gesture;
-use mmhand_hand::trajectory::GestureTrack;
-use mmhand_hand::user::UserProfile;
-use mmhand_math::Vec3;
-use mmhand_radar::capture::{record_session, CaptureConfig};
-use mmhand_radar::{ChirpConfig, Environment, RawFrame};
-use mmhand_core::Precision;
+use mmhand_core::{tiny, MmHandPipeline, PipelineError, Precision};
+use mmhand_radar::RawFrame;
 use mmhand_serve::{
     InferenceProfile, MeshPolicy, ServeConfig, ServeEngine, ServeError, ServeServer, ShardedServe,
 };
@@ -135,84 +125,17 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn tiny_chirp() -> ChirpConfig {
-    ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() }
-}
-
-fn tiny_cube() -> CubeConfig {
-    CubeConfig {
-        chirp: tiny_chirp(),
-        range_bins: 8,
-        doppler_bins: 4,
-        azimuth_bins: 4,
-        elevation_bins: 4,
-        frames_per_segment: 2,
-        range_max_m: 0.55,
-        ..Default::default()
-    }
-}
-
-/// Trains the small reference model the service runs behind; at
-/// [`Precision::Int8`] it is additionally calibrated on a held-out
-/// synthetic stream.
-fn build_pipeline(precision: Precision) -> Result<MmHandPipeline, Box<dyn std::error::Error>> {
-    let cube = tiny_cube();
-    let data = DataConfig {
-        users: 2,
-        frames_per_user: 16,
-        gestures_per_track: 2,
-        seq_len: 2,
-        capture: CaptureConfig {
-            chirp: cube.chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            ..Default::default()
-        },
-        cube: cube.clone(),
-        seed: 11,
-        ..Default::default()
-    };
-    let model_cfg = ModelConfig {
-        channels: 6,
-        blocks: 1,
-        feature_dim: 24,
-        lstm_hidden: 24,
-        ..data.model_config()
-    };
-    let seqs = try_build_cohort(&data)?;
-    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
-    let model = Trainer::new(model_cfg, train_cfg).try_train(&seqs)?;
-    let mut builder = MmHandPipeline::builder_for(model.clone())
-        .cube_config(cube.clone())
-        .precision(precision);
-    if precision == Precision::Int8 {
-        // Calibrate on a stream no client replays (the client seeds start
-        // at 1000), so activation ranges are post-training statistics, not
-        // a fit to the serving traffic itself.
-        let mut probe = MmHandPipeline::builder_for(model).cube_config(cube).build()?;
-        let calibration = probe.try_frames_to_segments(&client_stream(9999, 16))?;
-        builder = builder.calibration_segments(calibration);
-    }
-    Ok(builder.build()?)
+/// Trains the tiny reference model the service runs behind. The
+/// calibration stream, used at [`Precision::Int8`], is one no client
+/// replays (the client seeds start at 1000), so activation ranges are
+/// post-training statistics, not a fit to the serving traffic itself.
+fn build_pipeline(precision: Precision) -> Result<MmHandPipeline, PipelineError> {
+    tiny::pipeline(11, &client_stream(9999, 16), Some(precision))
 }
 
 /// One synthetic client's frame stream.
 fn client_stream(client: usize, n_frames: usize) -> Vec<RawFrame> {
-    let seed = 1000 + client as u64;
-    let user = UserProfile::generate(client + 1, seed);
-    let track = GestureTrack::from_gestures(
-        &[Gesture::OpenPalm, Gesture::Victory, Gesture::Fist],
-        Vec3::new(0.0, 0.3, 0.0),
-        0.3,
-        0.3,
-    );
-    record_session(
-        &user,
-        &track,
-        n_frames,
-        &CaptureConfig { chirp: tiny_chirp(), noise_sigma: 0.005, seed, ..Default::default() },
-    )
-    .frames
+    tiny::stream(client + 1, 1000 + client as u64, n_frames)
 }
 
 fn export_metrics() {

@@ -198,16 +198,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the mesh reconstruction policy.
-    ///
-    /// Note: superseded by [`ServeConfig::profile`], which carries the mesh
-    /// policy alongside precision and kernel backend; this setter remains
-    /// as a delegating convenience and touches nothing else in the profile.
-    pub fn mesh_policy(mut self, policy: MeshPolicy) -> Self {
-        self.profile.mesh_policy = policy;
-        self
-    }
-
     /// Checks every bound.
     ///
     /// # Errors
@@ -271,14 +261,12 @@ mod tests {
             .queue_capacity(4)
             .max_batch(2)
             .result_capacity(8)
-            .evict_after_idle_steps(3)
-            .mesh_policy(MeshPolicy::Never);
+            .evict_after_idle_steps(3);
         assert_eq!(cfg.max_sessions, 2);
         assert_eq!(cfg.queue_capacity, 4);
         assert_eq!(cfg.max_batch, 2);
         assert_eq!(cfg.result_capacity, 8);
         assert_eq!(cfg.evict_after_idle_steps, 3);
-        assert_eq!(cfg.profile.mesh_policy, MeshPolicy::Never);
     }
 
     #[test]
@@ -289,12 +277,6 @@ mod tests {
             .kernel_backend(BackendChoice::Scalar);
         let cfg = ServeConfig::new().profile(profile);
         assert_eq!(cfg.profile, profile);
-        assert_eq!(cfg.profile.precision, Precision::Int8);
-        assert_eq!(cfg.profile.kernel_backend, BackendChoice::Scalar);
-        // The legacy mesh setter delegates into the profile without
-        // touching its other fields.
-        let cfg = cfg.mesh_policy(MeshPolicy::Always);
-        assert_eq!(cfg.profile.mesh_policy, MeshPolicy::Always);
         assert_eq!(cfg.profile.precision, Precision::Int8);
         assert_eq!(cfg.profile.kernel_backend, BackendChoice::Scalar);
     }

@@ -505,10 +505,17 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::tiny_engine_parts;
+    use crate::InferenceProfile;
+    use mmhand_core::tiny;
+
+    /// The tiny pipeline and the stream it was calibrated on.
+    fn tiny_parts() -> (MmHandPipeline, Vec<RawFrame>) {
+        let frames = tiny::stream(1, 21, 12);
+        (tiny::pipeline(11, &frames, None).expect("tiny fixture builds"), frames)
+    }
 
     fn engine(cfg: ServeConfig) -> ServeEngine {
-        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let (pipeline, _frames) = tiny_parts();
         ServeEngine::new(pipeline, cfg).expect("valid config")
     }
 
@@ -525,7 +532,7 @@ mod tests {
 
     #[test]
     fn queue_full_is_typed_backpressure() {
-        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let (pipeline, frames) = tiny_parts();
         let mut e = ServeEngine::new(pipeline, ServeConfig::new().queue_capacity(2))
             .expect("valid config");
         let sid = e.open_session().expect("session opens");
@@ -539,7 +546,7 @@ mod tests {
 
     #[test]
     fn unknown_and_evicted_sessions_are_distinguished() {
-        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let (pipeline, frames) = tiny_parts();
         let mut e =
             ServeEngine::new(pipeline, ServeConfig::new().evict_after_idle_steps(1))
                 .expect("valid config");
@@ -563,10 +570,13 @@ mod tests {
 
     #[test]
     fn streams_produce_results_and_close_reports_stats() {
-        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let (pipeline, frames) = tiny_parts();
         let st = pipeline.builder().config().frames_per_segment;
-        let mut e = ServeEngine::new(pipeline, ServeConfig::new().mesh_policy(MeshPolicy::Never))
-            .expect("valid config");
+        let mut e = ServeEngine::new(
+            pipeline,
+            ServeConfig::new().profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
+        )
+        .expect("valid config");
         let sid = e.open_session().expect("session opens");
         for f in frames.iter().take(2 * st) {
             e.push_frame(sid, f.clone()).expect("frame accepted");
@@ -591,14 +601,14 @@ mod tests {
 
     #[test]
     fn profile_precision_must_match_the_pipeline() {
-        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let (pipeline, _frames) = tiny_parts();
         // Request the opposite precision of whatever the pipeline resolved
         // to; the mismatch must be a typed construction-time error.
         let other = match pipeline.precision() {
             Precision::F32 => Precision::Int8,
             Precision::Int8 => Precision::F32,
         };
-        let cfg = ServeConfig::new().profile(crate::InferenceProfile::from_env().precision(other));
+        let cfg = ServeConfig::new().profile(InferenceProfile::from_env().precision(other));
         match ServeEngine::new(pipeline, cfg) {
             Err(ServeError::InvalidConfig { field: "profile.precision", reason }) => {
                 assert!(reason.contains(other.name()), "{reason}");
@@ -610,7 +620,7 @@ mod tests {
 
     #[test]
     fn engine_reports_its_profile() {
-        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let (pipeline, _frames) = tiny_parts();
         let expected = pipeline.precision();
         let e = engine(ServeConfig::new());
         assert_eq!(e.precision(), expected);
@@ -633,7 +643,7 @@ mod tests {
 
     #[test]
     fn eviction_tombstones_stay_bounded_and_degrade_oldest_to_unknown() {
-        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let (pipeline, frames) = tiny_parts();
         let mut e = ServeEngine::new(
             pipeline,
             ServeConfig::new().evict_after_idle_steps(1).tombstone_capacity(2),
@@ -664,14 +674,14 @@ mod tests {
     /// must serve all three within three steps.
     #[test]
     fn rotating_cursor_prevents_low_id_starvation() {
-        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let (pipeline, frames) = tiny_parts();
         let st = pipeline.builder().config().frames_per_segment;
         let mut e = ServeEngine::new(
             pipeline,
             ServeConfig::new()
                 .max_batch(1)
                 .queue_capacity(8 * st)
-                .mesh_policy(MeshPolicy::Never),
+                .profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
         )
         .expect("valid config");
         let ids: Vec<u64> = (0..3).map(|_| e.open_session().expect("session opens")).collect();
@@ -693,7 +703,7 @@ mod tests {
 
     #[test]
     fn malformed_frame_geometry_is_a_typed_error() {
-        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let (pipeline, _frames) = tiny_parts();
         let mut e = ServeEngine::new(pipeline, ServeConfig::new()).expect("valid config");
         let sid = e.open_session().expect("session opens");
         let bad = RawFrame::zeroed(&mmhand_radar::ChirpConfig::default());
@@ -705,11 +715,13 @@ mod tests {
 
     #[test]
     fn full_result_buffer_stalls_scheduling() {
-        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let (pipeline, frames) = tiny_parts();
         let st = pipeline.builder().config().frames_per_segment;
         let mut e = ServeEngine::new(
             pipeline,
-            ServeConfig::new().result_capacity(1).mesh_policy(MeshPolicy::Never),
+            ServeConfig::new()
+                .result_capacity(1)
+                .profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
         )
         .expect("valid config");
         let sid = e.open_session().expect("session opens");

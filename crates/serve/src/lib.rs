@@ -17,7 +17,7 @@
 //! # fn doc(model: mmhand_core::TrainedModel,
 //! #        frames: Vec<mmhand_radar::RawFrame>) -> Result<(), Box<dyn std::error::Error>> {
 //! use mmhand_core::{CubeConfig, MmHandPipeline};
-//! use mmhand_serve::{MeshPolicy, ServeConfig, ServeEngine};
+//! use mmhand_serve::{InferenceProfile, MeshPolicy, ServeConfig, ServeEngine};
 //!
 //! let pipeline = MmHandPipeline::builder_for(model)
 //!     .cube_config(CubeConfig::default())
@@ -27,7 +27,10 @@
 //!     ServeConfig::new()
 //!         .max_sessions(8)
 //!         .queue_capacity(32)
-//!         .mesh_policy(MeshPolicy::SkipWhenBacklogged { segments: 2 }),
+//!         .profile(
+//!             InferenceProfile::from_env()
+//!                 .mesh_policy(MeshPolicy::SkipWhenBacklogged { segments: 2 }),
+//!         ),
 //! )?;
 //! let sid = engine.open_session()?;
 //! for frame in frames {
@@ -47,8 +50,6 @@ pub mod error;
 pub mod net;
 pub mod session;
 pub mod shard;
-#[cfg(test)]
-pub(crate) mod testutil;
 pub mod wire;
 
 pub use config::{InferenceProfile, MeshPolicy, ServeConfig};

@@ -29,10 +29,10 @@
 //! the socket still accepts writes, then the connection is dropped — the
 //! decoder never attempts to resynchronise a corrupt stream.
 //!
-//! Wire v1 serialises skeletons only; mesh vertices stay in-process (run
-//! the socket front end with [`MeshPolicy::Never`](crate::MeshPolicy) or a
-//! backlog-skipping policy unless an embedder also consumes meshes
-//! locally).
+//! The wire protocol serialises skeletons only; mesh vertices stay
+//! in-process (run the socket front end with
+//! [`MeshPolicy::Never`](crate::MeshPolicy) or a backlog-skipping policy
+//! unless an embedder also consumes meshes locally).
 
 use crate::error::ServeError;
 use crate::shard::{ShardStepReport, ShardedServe};
@@ -257,8 +257,8 @@ impl ServeServer {
         if !self.conns[i].hello_seen {
             match msg {
                 WireMsg::Hello { precision, .. } => {
-                    // The Hello's precision (f32 for v1 peers) must match
-                    // the engine's InferenceProfile: a server runs exactly
+                    // The Hello's precision must match the engine's
+                    // InferenceProfile: a server runs exactly
                     // one numeric path, so an unservable request gets a
                     // typed reject up front instead of silently different
                     // arithmetic.
@@ -418,15 +418,18 @@ impl ServeServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::tiny_engine_parts;
-    use crate::{MeshPolicy, ServeConfig};
+    use crate::{InferenceProfile, MeshPolicy, ServeConfig};
+    use mmhand_core::tiny;
 
     fn tiny_server(shards: usize) -> (ServeServer, Vec<mmhand_radar::RawFrame>) {
-        let (pipeline, frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let frames = tiny::stream(1, 21, 12);
+        let pipeline = tiny::pipeline(11, &frames, None).expect("tiny fixture builds");
         let serve = ShardedServe::new(
             pipeline,
             shards,
-            ServeConfig::new().mesh_policy(MeshPolicy::Never).max_batch(2),
+            ServeConfig::new()
+                .profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never))
+                .max_batch(2),
         )
         .expect("tiny sharded serve");
         let server = ServeServer::bind("127.0.0.1:0", serve).expect("ephemeral bind");

@@ -295,17 +295,20 @@ impl ShardedServe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MeshPolicy;
-    use crate::testutil::{tiny_engine_parts, tiny_stream};
+    use crate::config::{InferenceProfile, MeshPolicy};
+    use mmhand_core::tiny;
+
+    fn tiny_pipeline() -> MmHandPipeline {
+        tiny::pipeline(11, &tiny::stream(1, 21, 12), None).expect("tiny fixture builds")
+    }
 
     fn sharded(shards: usize, cfg: ServeConfig) -> ShardedServe {
-        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
-        ShardedServe::new(pipeline, shards, cfg).expect("valid config")
+        ShardedServe::new(tiny_pipeline(), shards, cfg).expect("valid config")
     }
 
     #[test]
     fn shard_count_bounds_are_typed_errors() {
-        let (pipeline, _frames) = tiny_engine_parts().expect("tiny fixture builds");
+        let pipeline = tiny_pipeline();
         for bad in [0, MAX_SHARDS + 1] {
             match ShardedServe::new(pipeline.clone(), bad, ServeConfig::new()) {
                 Err(ServeError::InvalidConfig { field: "shards", .. }) => {}
@@ -376,8 +379,11 @@ mod tests {
 
     #[test]
     fn sharded_streams_produce_results() {
-        let mut s = sharded(2, ServeConfig::new().mesh_policy(MeshPolicy::Never));
-        let frames = tiny_stream(4, 77);
+        let mut s = sharded(
+            2,
+            ServeConfig::new().profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
+        );
+        let frames = tiny::stream(1, 77, 4);
         let seg = 2; // frames_per_segment of the tiny cube geometry
         let a = s.open_session().expect("opens");
         let b = s.open_session().expect("opens");

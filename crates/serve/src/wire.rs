@@ -26,12 +26,10 @@ use std::fmt;
 
 /// Protocol magic, first bytes of every connection's `Hello` payload.
 pub const WIRE_MAGIC: [u8; 4] = *b"MMHW";
-/// Current protocol version. Version 2 added a precision byte to `Hello`
-/// so clients negotiate the numeric inference path; version-1 `Hello`s
-/// still decode and negotiate down to [`Precision::F32`].
+/// The one protocol version this codec speaks. Version 2 added the
+/// precision byte to `Hello`; a `Hello` of any other version is a typed
+/// [`WireError::BadVersion`].
 pub const WIRE_VERSION: u16 = 2;
-/// Oldest protocol version this codec still speaks.
-pub const MIN_WIRE_VERSION: u16 = 1;
 /// Hard cap on one message's payload length (bytes). A `Push` of the
 /// full-scale radar geometry (3·4 antennas × 128 chirps × 256 samples ×
 /// 8 bytes ≈ 3.1 MiB) fits with an order of magnitude to spare.
@@ -104,7 +102,7 @@ impl RejectCode {
     }
 }
 
-/// Wire encoding of [`Precision`] (one byte in the v2 `Hello`).
+/// Wire encoding of [`Precision`] (one byte in the `Hello`).
 fn precision_to_u8(p: Precision) -> u8 {
     match p {
         Precision::F32 => 0,
@@ -124,9 +122,7 @@ fn precision_from_u8(v: u8) -> Result<Precision, WireError> {
 #[derive(Debug)]
 pub enum WireMsg {
     /// Connection preamble: magic + version + requested precision
-    /// (client → server). Version-1 peers carry no precision byte and
-    /// decode as [`Precision::F32`] — old clients negotiate down rather
-    /// than being cut off by the version bump.
+    /// (client → server). The version must be [`WIRE_VERSION`].
     Hello {
         /// Protocol version the client speaks.
         version: u16,
@@ -218,10 +214,7 @@ impl fmt::Display for WireError {
         match self {
             WireError::BadMagic => write!(f, "bad protocol magic (expected MMHW hello)"),
             WireError::BadVersion { got } => {
-                write!(
-                    f,
-                    "unsupported protocol version {got} (speaking {MIN_WIRE_VERSION}..={WIRE_VERSION})"
-                )
+                write!(f, "unsupported protocol version {got} (speaking {WIRE_VERSION})")
             }
             WireError::UnknownType { tag } => write!(f, "unknown message type tag {tag}"),
             WireError::Oversize { len } => {
@@ -268,11 +261,7 @@ pub fn encode(msg: &WireMsg, out: &mut Vec<u8>) {
         WireMsg::Hello { version, precision } => {
             out.extend_from_slice(&WIRE_MAGIC);
             put_u16(out, *version);
-            // The precision byte exists from v2 on; encoding a v1 Hello
-            // (interop tests, old-client simulation) omits it.
-            if *version >= 2 {
-                out.push(precision_to_u8(*precision));
-            }
+            out.push(precision_to_u8(*precision));
         }
         WireMsg::Open => {}
         WireMsg::Push { session, frame } => {
@@ -373,12 +362,10 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<WireMsg, WireError> {
                 return Err(WireError::BadMagic);
             }
             let version = r.u16("hello version")?;
-            if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+            if version != WIRE_VERSION {
                 return Err(WireError::BadVersion { got: version });
             }
-            // v1 predates the precision byte: negotiate down to f32.
-            let precision =
-                if version >= 2 { precision_from_u8(r.u8("hello precision")?)? } else { Precision::F32 };
+            let precision = precision_from_u8(r.u8("hello precision")?)?;
             WireMsg::Hello { version, precision }
         }
         tag::OPEN => WireMsg::Open,
@@ -579,25 +566,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_hello_negotiates_down_to_f32() {
-        // A version-1 Hello has no precision byte; it must still decode,
-        // as an f32 request (the downgrade contract for old clients).
-        let mut bytes = Vec::new();
-        encode(&WireMsg::Hello { version: 1, precision: Precision::Int8 }, &mut bytes);
-        // The encoder must not have emitted a precision byte for v1:
-        // tag + len + magic + version only.
-        assert_eq!(bytes.len(), 1 + 4 + 4 + 2);
-        let mut d = Decoder::new();
-        d.push_bytes(&bytes);
-        match d.next_msg() {
-            Ok(Some(WireMsg::Hello { version: 1, precision: Precision::F32 })) => {}
-            other => panic!("v1 hello must decode as f32, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn out_of_range_versions_and_bad_precision_bytes_are_typed_errors() {
-        for bad_version in [0u16, WIRE_VERSION + 1, u16::MAX] {
+        for bad_version in [0u16, 1, WIRE_VERSION + 1, u16::MAX] {
             let mut bytes = vec![tag::HELLO];
             bytes.extend_from_slice(&6u32.to_le_bytes());
             bytes.extend_from_slice(&WIRE_MAGIC);

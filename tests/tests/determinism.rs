@@ -14,15 +14,14 @@ use mmhand_core::cube::{CubeBuilder, CubeConfig};
 use mmhand_core::dataset::try_session_to_sequences;
 use mmhand_core::eval::{try_build_cohort, try_cross_validate, DataConfig};
 use mmhand_core::metrics::JointGroup;
-use mmhand_core::model::ModelConfig;
 use mmhand_core::train::{TrainConfig, TrainedModel, Trainer};
-use mmhand_core::{MmHandPipeline, PipelineError, Precision};
+use mmhand_core::{tiny, MmHandPipeline, PipelineError, Precision};
 use mmhand_hand::gesture::Gesture;
 use mmhand_hand::trajectory::GestureTrack;
 use mmhand_hand::user::UserProfile;
 use mmhand_math::Vec3;
-use mmhand_radar::capture::{record_session, CaptureConfig};
-use mmhand_radar::{ChirpConfig, Environment, RadarError, RawFrame};
+use mmhand_radar::capture::record_session;
+use mmhand_radar::{ChirpConfig, RadarError, RawFrame};
 
 /// Forces the pool to 4 threads for every test in this binary (first call
 /// wins; later calls are no-ops, which is fine — any >1 width does).
@@ -31,53 +30,20 @@ fn ensure_pool() {
 }
 
 fn tiny_data_config() -> DataConfig {
-    let chirp = ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() };
-    let cube = CubeConfig {
-        chirp,
-        range_bins: 8,
-        doppler_bins: 4,
-        azimuth_bins: 4,
-        elevation_bins: 4,
-        frames_per_segment: 2,
-        range_max_m: 0.45,
-        ..Default::default()
-    };
     DataConfig {
-        users: 2,
         frames_per_user: 24,
         gestures_per_track: 3,
-        seq_len: 2,
-        capture: CaptureConfig {
-            chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            ..Default::default()
-        },
-        cube,
-        seed: 77,
-        ..Default::default()
-    }
-}
-
-fn tiny_model(data: &DataConfig) -> ModelConfig {
-    ModelConfig {
-        channels: 6,
-        blocks: 1,
-        feature_dim: 24,
-        lstm_hidden: 24,
-        ..data.model_config()
+        cube: CubeConfig { range_max_m: 0.45, ..tiny::cube() },
+        ..tiny::data(77)
     }
 }
 
 fn train_tiny(data: &DataConfig) -> (TrainedModel, Vec<Vec<Vec<f32>>>) {
     let sequences = try_build_cohort(data).unwrap();
     assert!(!sequences.is_empty());
-    let trained = Trainer::new(
-        tiny_model(data),
-        TrainConfig { epochs: 6, batch_size: 4, ..Default::default() },
-    )
-    .try_train(&sequences)
-    .unwrap();
+    let trained = Trainer::new(tiny::model(data), TrainConfig { epochs: 6, ..tiny::train_config() })
+        .try_train(&sequences)
+        .unwrap();
     let preds = sequences
         .iter()
         .map(|s| trained.predict_sequence(&s.segments))
@@ -145,8 +111,8 @@ fn cross_validation_is_identical_across_thread_counts() {
     let data = tiny_data_config();
     let data = DataConfig { users: 4, ..data };
     let sequences = try_build_cohort(&data).unwrap();
-    let model_cfg = tiny_model(&data);
-    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
+    let model_cfg = tiny::model(&data);
+    let train_cfg = tiny::train_config();
 
     let par = try_cross_validate(&sequences, &model_cfg, &train_cfg, 2).unwrap();
     let seq = mmhand_parallel::sequential_scope(|| {
@@ -166,12 +132,8 @@ fn cross_validation_is_identical_across_thread_counts() {
 /// a fresh capture to run them on.
 fn tiny_pipelines(data: &DataConfig) -> (Vec<MmHandPipeline>, Vec<RawFrame>) {
     let sequences = try_build_cohort(data).unwrap();
-    let trained = Trainer::new(
-        tiny_model(data),
-        TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
-    )
-    .try_train(&sequences)
-    .unwrap();
+    let trained =
+        Trainer::new(tiny::model(data), tiny::train_config()).try_train(&sequences).unwrap();
     let calibration: Vec<_> =
         sequences.iter().flat_map(|s| s.segments.iter().cloned()).collect();
     let pipelines = [Precision::F32, Precision::Int8]

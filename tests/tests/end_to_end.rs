@@ -7,53 +7,21 @@ use mmhand_core::dataset::try_session_to_sequences;
 use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::mesh::MeshReconstructor;
 use mmhand_core::metrics::{JointErrors, JointGroup};
-use mmhand_core::model::ModelConfig;
 use mmhand_core::pipeline::MmHandPipeline;
+use mmhand_core::tiny;
 use mmhand_core::train::{TrainConfig, Trainer};
 use mmhand_hand::gesture::Gesture;
 use mmhand_hand::trajectory::GestureTrack;
 use mmhand_hand::user::UserProfile;
 use mmhand_math::Vec3;
 use mmhand_radar::capture::{record_session, CaptureConfig};
-use mmhand_radar::{ChirpConfig, Environment};
 
-/// A compact-but-real stack shared by the integration tests.
 fn tiny_data_config() -> DataConfig {
-    let chirp = ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() };
-    let cube = CubeConfig {
-        chirp,
-        range_bins: 8,
-        doppler_bins: 4,
-        azimuth_bins: 4,
-        elevation_bins: 4,
-        frames_per_segment: 2,
-        range_max_m: 0.45,
-        ..Default::default()
-    };
     DataConfig {
-        users: 2,
         frames_per_user: 48,
         gestures_per_track: 4,
-        seq_len: 2,
-        capture: CaptureConfig {
-            chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            ..Default::default()
-        },
-        cube,
-        seed: 1234,
-        ..Default::default()
-    }
-}
-
-fn tiny_model(data: &DataConfig) -> ModelConfig {
-    ModelConfig {
-        channels: 6,
-        blocks: 1,
-        feature_dim: 24,
-        lstm_hidden: 24,
-        ..data.model_config()
+        cube: CubeConfig { range_max_m: 0.45, ..tiny::cube() },
+        ..tiny::data(1234)
     }
 }
 
@@ -64,7 +32,7 @@ fn full_pipeline_learns_and_estimates() {
     assert!(!sequences.is_empty());
 
     let trained = Trainer::new(
-        tiny_model(&data),
+        tiny::model(&data),
         TrainConfig { epochs: 30, batch_size: 4, ..Default::default() },
     )
     .try_train(&sequences)
@@ -118,7 +86,7 @@ fn trained_model_tracks_hand_position_changes() {
     // training attractor, collapsing position output to the cohort mean
     // (see EXPERIMENTS.md ablation: γ must shrink with dataset size).
     let trained = Trainer::new(
-        tiny_model(&data),
+        tiny::model(&data),
         TrainConfig {
             epochs: 60,
             batch_size: 4,
@@ -167,13 +135,13 @@ fn cross_crate_determinism() {
         }
     }
     let t1 = Trainer::new(
-        tiny_model(&data),
+        tiny::model(&data),
         TrainConfig { epochs: 3, batch_size: 4, ..Default::default() },
     )
     .try_train(&a)
     .unwrap();
     let t2 = Trainer::new(
-        tiny_model(&data),
+        tiny::model(&data),
         TrainConfig { epochs: 3, batch_size: 4, ..Default::default() },
     )
     .try_train(&b)
@@ -189,7 +157,7 @@ fn obstacle_degrades_accuracy_relative_to_clear_path() {
     let data = tiny_data_config();
     let sequences = try_build_cohort(&data).unwrap();
     let trained = Trainer::new(
-        tiny_model(&data),
+        tiny::model(&data),
         TrainConfig { epochs: 30, batch_size: 4, ..Default::default() },
     )
     .try_train(&sequences)

@@ -11,97 +11,18 @@
 //!    same trained model within a small tolerance on seeded captures, i.e.
 //!    quantization is a compression decision, not a different model.
 
-use mmhand_core::cube::CubeConfig;
-use mmhand_core::eval::{try_build_cohort, DataConfig};
-use mmhand_core::model::ModelConfig;
-use mmhand_core::train::{TrainConfig, TrainedModel, Trainer};
-use mmhand_core::{MmHandPipeline, Precision};
-use mmhand_hand::gesture::Gesture;
-use mmhand_hand::trajectory::GestureTrack;
-use mmhand_hand::user::UserProfile;
-use mmhand_math::Vec3;
-use mmhand_radar::capture::{record_session, CaptureConfig};
-use mmhand_radar::{ChirpConfig, Environment, RawFrame};
+use mmhand_core::{tiny, MmHandPipeline, Precision};
+use mmhand_radar::RawFrame;
 use mmhand_serve::{FrameResult, InferenceProfile, MeshPolicy, ServeConfig, ShardedServe};
 
-fn tiny_chirp() -> ChirpConfig {
-    ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() }
-}
-
-fn tiny_cube() -> CubeConfig {
-    CubeConfig {
-        chirp: tiny_chirp(),
-        range_bins: 8,
-        doppler_bins: 4,
-        azimuth_bins: 4,
-        elevation_bins: 4,
-        frames_per_segment: 2,
-        range_max_m: 0.55,
-        ..Default::default()
-    }
-}
-
-fn tiny_model() -> TrainedModel {
-    let cube = tiny_cube();
-    let data = DataConfig {
-        users: 2,
-        frames_per_user: 16,
-        gestures_per_track: 2,
-        seq_len: 2,
-        capture: CaptureConfig {
-            chirp: cube.chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            ..Default::default()
-        },
-        cube: cube.clone(),
-        seed: 31,
-        ..Default::default()
-    };
-    let model_cfg = ModelConfig {
-        channels: 6,
-        blocks: 1,
-        feature_dim: 24,
-        lstm_hidden: 24,
-        ..data.model_config()
-    };
-    let seqs = try_build_cohort(&data).unwrap();
-    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
-    Trainer::new(model_cfg, train_cfg).try_train(&seqs).unwrap()
-}
-
 fn stream(seed: u64, frames: usize) -> Vec<RawFrame> {
-    let user = UserProfile::generate(seed as usize + 1, seed);
-    let track = GestureTrack::from_gestures(
-        &[Gesture::OpenPalm, Gesture::Victory, Gesture::Fist],
-        Vec3::new(0.0, 0.3, 0.0),
-        0.3,
-        0.3,
-    );
-    record_session(
-        &user,
-        &track,
-        frames,
-        &CaptureConfig { chirp: tiny_chirp(), noise_sigma: 0.005, seed, ..Default::default() },
-    )
-    .frames
+    tiny::stream(seed as usize + 1, seed, frames)
 }
 
-/// Builds a pipeline at the requested precision, calibrating the int8 one
-/// on a capture none of the test sessions replays.
-fn pipeline_at(model: TrainedModel, precision: Precision) -> MmHandPipeline {
-    let cube = tiny_cube();
-    let mut builder =
-        MmHandPipeline::builder_for(model.clone()).cube_config(cube.clone()).precision(precision);
-    if precision == Precision::Int8 {
-        let mut probe = MmHandPipeline::builder_for(model)
-            .cube_config(cube)
-            .build()
-            .expect("probe pipeline assembles");
-        let calibration = probe.try_frames_to_segments(&stream(97, 12)).unwrap();
-        builder = builder.calibration_segments(calibration);
-    }
-    builder.build().expect("pipeline assembles")
+/// The tiny pipeline at int8, calibrated on a capture none of the test
+/// sessions replays.
+fn int8_pipeline() -> MmHandPipeline {
+    tiny::pipeline(31, &stream(97, 12), Some(Precision::Int8)).expect("pipeline assembles")
 }
 
 /// Eight concurrent int8 sessions on a four-shard engine produce bitwise
@@ -110,8 +31,7 @@ fn pipeline_at(model: TrainedModel, precision: Precision) -> MmHandPipeline {
 fn sharded_int8_serve_matches_sequential_int8_bitwise() {
     let n_sessions = 8;
     let frames_per_session = 8;
-    let model = tiny_model();
-    let pipeline = pipeline_at(model, Precision::Int8);
+    let pipeline = int8_pipeline();
     assert_eq!(pipeline.precision(), Precision::Int8);
     let st = pipeline.builder().config().frames_per_segment;
     let segments = frames_per_session / st;
@@ -178,9 +98,12 @@ fn sharded_int8_serve_matches_sequential_int8_bitwise() {
 /// hand.
 #[test]
 fn int8_skeletons_track_f32_within_epsilon() {
-    let model = tiny_model();
-    let mut f32_pipe = pipeline_at(model.clone(), Precision::F32);
-    let mut int8_pipe = pipeline_at(model, Precision::Int8);
+    let mut int8_pipe = int8_pipeline();
+    let mut f32_pipe = MmHandPipeline::builder_for(int8_pipe.model().clone())
+        .cube_config(int8_pipe.builder().config().clone())
+        .precision(Precision::F32)
+        .build()
+        .expect("pipeline assembles");
 
     let mut count = 0usize;
     let mut sum_abs = 0.0f64;

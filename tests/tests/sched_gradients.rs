@@ -7,51 +7,10 @@
 //! in the stack is fixed-order — must not change a single bit of the
 //! resulting parameters, gradients or loss history.
 
-use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::cube::CubeConfig;
-use mmhand_core::model::ModelConfig;
-use mmhand_core::train::{TrainConfig, TrainedModel, Trainer};
-use mmhand_radar::capture::CaptureConfig;
-use mmhand_radar::{ChirpConfig, Environment};
-
-fn tiny_data_config() -> DataConfig {
-    let chirp = ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() };
-    let cube = CubeConfig {
-        chirp,
-        range_bins: 8,
-        doppler_bins: 4,
-        azimuth_bins: 4,
-        elevation_bins: 4,
-        frames_per_segment: 2,
-        range_max_m: 0.45,
-        ..Default::default()
-    };
-    DataConfig {
-        users: 2,
-        frames_per_user: 16,
-        gestures_per_track: 2,
-        seq_len: 2,
-        capture: CaptureConfig {
-            chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            ..Default::default()
-        },
-        cube,
-        seed: 91,
-        ..Default::default()
-    }
-}
-
-fn tiny_model(data: &DataConfig) -> ModelConfig {
-    ModelConfig {
-        channels: 6,
-        blocks: 1,
-        feature_dim: 24,
-        lstm_hidden: 24,
-        ..data.model_config()
-    }
-}
+use mmhand_core::eval::{try_build_cohort, DataConfig};
+use mmhand_core::tiny;
+use mmhand_core::train::{TrainedModel, Trainer};
 
 /// Everything bit-comparable about a finished run: parameter bits, the
 /// final accumulated gradient bits, and the loss history bits.
@@ -78,11 +37,12 @@ fn training_is_bitwise_identical_at_widths_1_2_4_8() {
     // First call wins; an 8-wide pool makes caps 2/4/8 genuinely distinct
     // even on a single-CPU CI runner.
     let _ = mmhand_parallel::configure_threads(8);
-    let data = tiny_data_config();
+    let data =
+        DataConfig { cube: CubeConfig { range_max_m: 0.45, ..tiny::cube() }, ..tiny::data(91) };
     let sequences = try_build_cohort(&data).unwrap();
     assert!(!sequences.is_empty());
-    let model_cfg = tiny_model(&data);
-    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
+    let model_cfg = tiny::model(&data);
+    let train_cfg = tiny::train_config();
 
     let mut reference: Option<(usize, Fingerprint)> = None;
     for cap in [1usize, 2, 4, 8] {

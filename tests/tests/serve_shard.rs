@@ -4,18 +4,11 @@
 //! engine-side memory — eviction tombstones, scratch-pool checkouts,
 //! active session count — stays bounded under unbounded session turnover.
 
-use mmhand_core::cube::CubeConfig;
-use mmhand_core::eval::{try_build_cohort, DataConfig};
-use mmhand_core::model::ModelConfig;
-use mmhand_core::train::{TrainConfig, Trainer};
-use mmhand_core::MmHandPipeline;
-use mmhand_hand::gesture::Gesture;
-use mmhand_hand::trajectory::GestureTrack;
-use mmhand_hand::user::UserProfile;
-use mmhand_math::Vec3;
-use mmhand_radar::capture::{record_session, CaptureConfig};
-use mmhand_radar::{ChirpConfig, Environment, RawFrame};
-use mmhand_serve::{FrameResult, MeshPolicy, ServeConfig, ServeError, ShardedServe};
+use mmhand_core::{tiny, MmHandPipeline};
+use mmhand_radar::RawFrame;
+use mmhand_serve::{
+    FrameResult, InferenceProfile, MeshPolicy, ServeConfig, ServeError, ShardedServe,
+};
 use mmhand_telemetry as telemetry;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -28,82 +21,14 @@ fn telemetry_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn tiny_chirp() -> ChirpConfig {
-    ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() }
-}
-
-fn tiny_cube() -> CubeConfig {
-    CubeConfig {
-        chirp: tiny_chirp(),
-        range_bins: 8,
-        doppler_bins: 4,
-        azimuth_bins: 4,
-        elevation_bins: 4,
-        frames_per_segment: 2,
-        range_max_m: 0.55,
-        ..Default::default()
-    }
-}
-
 /// Trains the reference model once; shards and reference paths clone it,
 /// which is exactly how the sharded router materialises per-shard engines.
 fn tiny_pipeline() -> MmHandPipeline {
-    let cube = tiny_cube();
-    let data = DataConfig {
-        users: 2,
-        frames_per_user: 16,
-        gestures_per_track: 2,
-        seq_len: 2,
-        capture: CaptureConfig {
-            chirp: cube.chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            ..Default::default()
-        },
-        cube: cube.clone(),
-        seed: 29,
-        ..Default::default()
-    };
-    let model_cfg = ModelConfig {
-        channels: 6,
-        blocks: 1,
-        feature_dim: 24,
-        lstm_hidden: 24,
-        ..data.model_config()
-    };
-    let seqs = try_build_cohort(&data).unwrap();
-    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
-    let model = Trainer::new(model_cfg, train_cfg).try_train(&seqs).unwrap();
-    // Calibration is always supplied; the precision itself follows the
-    // documented MMHAND_PRECISION fallback so CI's precision matrix can
-    // drive this suite through both the f32 and int8 paths.
-    let mut probe = MmHandPipeline::builder_for(model.clone())
-        .cube_config(cube.clone())
-        .build()
-        .expect("tiny probe pipeline assembles");
-    let calibration = probe.try_frames_to_segments(&stream(97, 12)).unwrap();
-    MmHandPipeline::builder_for(model)
-        .cube_config(cube)
-        .calibration_segments(calibration)
-        .build()
-        .expect("tiny pipeline assembles")
+    tiny::pipeline(29, &stream(97, 12), None).expect("tiny pipeline assembles")
 }
 
 fn stream(seed: u64, frames: usize) -> Vec<RawFrame> {
-    let user = UserProfile::generate(seed as usize + 1, seed);
-    let track = GestureTrack::from_gestures(
-        &[Gesture::OpenPalm, Gesture::Victory, Gesture::Fist],
-        Vec3::new(0.0, 0.3, 0.0),
-        0.3,
-        0.3,
-    );
-    record_session(
-        &user,
-        &track,
-        frames,
-        &CaptureConfig { chirp: tiny_chirp(), noise_sigma: 0.005, seed, ..Default::default() },
-    )
-    .frames
+    tiny::stream(seed as usize + 1, seed, frames)
 }
 
 /// Eight concurrent sessions served at shard widths 1, 2, and 4 must all
@@ -205,7 +130,7 @@ fn long_run_churn_keeps_memory_bounded() {
             .queue_capacity(8)
             .evict_after_idle_steps(1)
             .tombstone_capacity(tombstone_capacity)
-            .mesh_policy(MeshPolicy::Never),
+            .profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
     )
     .expect("sharded serve builds");
 
@@ -285,7 +210,9 @@ fn sharded_admission_is_global_and_typed() {
     let mut serve = ShardedServe::new(
         tiny_pipeline(),
         4,
-        ServeConfig::new().max_sessions(2).mesh_policy(MeshPolicy::Never),
+        ServeConfig::new()
+            .max_sessions(2)
+            .profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
     )
     .expect("sharded serve builds");
     assert_eq!(serve.max_sessions(), 8);

@@ -5,98 +5,23 @@
 //! ingress path produces `Err`, never a panic. The whole suite also runs
 //! under `--features sanitize-numerics` in CI's sanitize job.
 
-use mmhand_core::cube::CubeConfig;
-use mmhand_core::eval::{try_build_cohort, DataConfig};
-use mmhand_core::model::ModelConfig;
-use mmhand_core::train::{TrainConfig, Trainer};
-use mmhand_core::{MmHandPipeline, PipelineError};
-use mmhand_hand::gesture::Gesture;
-use mmhand_hand::trajectory::GestureTrack;
-use mmhand_hand::user::UserProfile;
-use mmhand_math::Vec3;
-use mmhand_radar::capture::{record_session, CaptureConfig};
-use mmhand_radar::{ChirpConfig, Environment, RawFrame};
-use mmhand_serve::{FrameResult, MeshPolicy, ServeConfig, ServeEngine, ServeError};
+use mmhand_core::{tiny, MmHandPipeline, PipelineError};
+use mmhand_radar::{ChirpConfig, RawFrame};
+use mmhand_serve::{
+    FrameResult, InferenceProfile, MeshPolicy, ServeConfig, ServeEngine, ServeError,
+};
 use proptest::prelude::*;
 use std::sync::{Mutex, OnceLock};
-
-fn tiny_chirp() -> ChirpConfig {
-    ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() }
-}
-
-fn tiny_cube() -> CubeConfig {
-    CubeConfig {
-        chirp: tiny_chirp(),
-        range_bins: 8,
-        doppler_bins: 4,
-        azimuth_bins: 4,
-        elevation_bins: 4,
-        frames_per_segment: 2,
-        range_max_m: 0.55,
-        ..Default::default()
-    }
-}
 
 /// Trains the reference model deterministically — two calls produce
 /// bitwise-identical parameters, which lets the identity test hold one
 /// pipeline inside the engine and one outside.
 fn tiny_pipeline() -> MmHandPipeline {
-    let cube = tiny_cube();
-    let data = DataConfig {
-        users: 2,
-        frames_per_user: 16,
-        gestures_per_track: 2,
-        seq_len: 2,
-        capture: CaptureConfig {
-            chirp: cube.chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            ..Default::default()
-        },
-        cube: cube.clone(),
-        seed: 29,
-        ..Default::default()
-    };
-    let model_cfg = ModelConfig {
-        channels: 6,
-        blocks: 1,
-        feature_dim: 24,
-        lstm_hidden: 24,
-        ..data.model_config()
-    };
-    let seqs = try_build_cohort(&data).unwrap();
-    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
-    let model = Trainer::new(model_cfg, train_cfg).try_train(&seqs).unwrap();
-    // Calibration is always supplied; the precision itself follows the
-    // documented MMHAND_PRECISION fallback so CI's precision matrix can
-    // drive this suite through both the f32 and int8 paths.
-    let mut probe = MmHandPipeline::builder_for(model.clone())
-        .cube_config(cube.clone())
-        .build()
-        .expect("tiny probe pipeline assembles");
-    let calibration = probe.try_frames_to_segments(&stream(97, 12)).unwrap();
-    MmHandPipeline::builder_for(model)
-        .cube_config(cube)
-        .calibration_segments(calibration)
-        .build()
-        .expect("tiny pipeline assembles")
+    tiny::pipeline(29, &stream(97, 12), None).expect("tiny pipeline assembles")
 }
 
 fn stream(seed: u64, frames: usize) -> Vec<RawFrame> {
-    let user = UserProfile::generate(seed as usize + 1, seed);
-    let track = GestureTrack::from_gestures(
-        &[Gesture::OpenPalm, Gesture::Victory, Gesture::Fist],
-        Vec3::new(0.0, 0.3, 0.0),
-        0.3,
-        0.3,
-    );
-    record_session(
-        &user,
-        &track,
-        frames,
-        &CaptureConfig { chirp: tiny_chirp(), noise_sigma: 0.005, seed, ..Default::default() },
-    )
-    .frames
+    tiny::stream(seed as usize + 1, seed, frames)
 }
 
 /// Micro-batched concurrent sessions must produce, per session, bitwise
@@ -168,7 +93,7 @@ fn nominal_load_eight_sessions_zero_rejects() {
             .max_sessions(n_sessions)
             .max_batch(n_sessions)
             .queue_capacity(frames_per_session)
-            .mesh_policy(MeshPolicy::Never),
+            .profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
     )
     .expect("engine builds");
     let ids: Vec<u64> =
@@ -193,7 +118,9 @@ fn overload_rejects_with_typed_errors() {
     let queue = 4;
     let mut engine = ServeEngine::new(
         tiny_pipeline(),
-        ServeConfig::new().queue_capacity(queue).mesh_policy(MeshPolicy::Never),
+        ServeConfig::new()
+            .queue_capacity(queue)
+            .profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
     )
     .expect("engine builds");
     let sid = engine.open_session().expect("session opens");
@@ -223,7 +150,9 @@ fn overload_rejects_with_typed_errors() {
 fn idle_sessions_are_evicted_with_typed_error() {
     let mut engine = ServeEngine::new(
         tiny_pipeline(),
-        ServeConfig::new().evict_after_idle_steps(2).mesh_policy(MeshPolicy::Never),
+        ServeConfig::new()
+            .evict_after_idle_steps(2)
+            .profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
     )
     .expect("engine builds");
     let sid = engine.open_session().expect("session opens");
@@ -246,7 +175,7 @@ fn shared_engine() -> &'static Mutex<ServeEngine> {
                 tiny_pipeline(),
                 ServeConfig::new()
                     .max_sessions(usize::MAX >> 1)
-                    .mesh_policy(MeshPolicy::Never),
+                    .profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
             )
             .expect("engine builds"),
         )
@@ -267,7 +196,7 @@ proptest! {
         chirps in 1usize..12,
         samples in 1usize..48,
     ) {
-        let good = tiny_chirp();
+        let good = tiny::cube().chirp;
         prop_assume!(
             tx != good.tx_count
                 || rx != good.rx_count

@@ -5,98 +5,23 @@
 //! `poll_once`), and the skeletons read back off the wire are bitwise
 //! identical to the sequential pipeline's.
 
-use mmhand_core::cube::CubeConfig;
-use mmhand_core::eval::{try_build_cohort, DataConfig};
-use mmhand_core::model::ModelConfig;
-use mmhand_core::train::{TrainConfig, Trainer};
-use mmhand_core::MmHandPipeline;
-use mmhand_hand::gesture::Gesture;
-use mmhand_hand::trajectory::GestureTrack;
-use mmhand_hand::user::UserProfile;
-use mmhand_math::Vec3;
-use mmhand_radar::capture::{record_session, CaptureConfig};
-use mmhand_radar::{ChirpConfig, Environment, RawFrame};
-use mmhand_serve::wire::{encode, Decoder, WireMsg, MIN_WIRE_VERSION, WIRE_VERSION};
-use mmhand_serve::{MeshPolicy, Precision, RejectCode, ServeConfig, ServeServer, ShardedServe};
+use mmhand_core::{tiny, MmHandPipeline};
+use mmhand_radar::RawFrame;
+use mmhand_serve::wire::{encode, Decoder, WireMsg, WIRE_VERSION};
+use mmhand_serve::{
+    InferenceProfile, MeshPolicy, Precision, RejectCode, ServeConfig, ServeServer, ShardedServe,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 
-fn tiny_chirp() -> ChirpConfig {
-    ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() }
-}
-
-fn tiny_cube() -> CubeConfig {
-    CubeConfig {
-        chirp: tiny_chirp(),
-        range_bins: 8,
-        doppler_bins: 4,
-        azimuth_bins: 4,
-        elevation_bins: 4,
-        frames_per_segment: 2,
-        range_max_m: 0.55,
-        ..Default::default()
-    }
-}
-
 fn tiny_pipeline() -> MmHandPipeline {
-    let cube = tiny_cube();
-    let data = DataConfig {
-        users: 2,
-        frames_per_user: 16,
-        gestures_per_track: 2,
-        seq_len: 2,
-        capture: CaptureConfig {
-            chirp: cube.chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            ..Default::default()
-        },
-        cube: cube.clone(),
-        seed: 29,
-        ..Default::default()
-    };
-    let model_cfg = ModelConfig {
-        channels: 6,
-        blocks: 1,
-        feature_dim: 24,
-        lstm_hidden: 24,
-        ..data.model_config()
-    };
-    let seqs = try_build_cohort(&data).unwrap();
-    let train_cfg = TrainConfig { epochs: 2, batch_size: 4, ..Default::default() };
-    let model = Trainer::new(model_cfg, train_cfg).try_train(&seqs).unwrap();
-    // Calibration is always supplied; the precision itself follows the
-    // documented MMHAND_PRECISION fallback so CI's precision matrix can
-    // drive this suite through both the f32 and int8 paths.
-    let mut probe = MmHandPipeline::builder_for(model.clone())
-        .cube_config(cube.clone())
-        .build()
-        .expect("tiny probe pipeline assembles");
-    let calibration = probe.try_frames_to_segments(&stream(97, 12)).unwrap();
-    MmHandPipeline::builder_for(model)
-        .cube_config(cube)
-        .calibration_segments(calibration)
-        .build()
-        .expect("tiny pipeline assembles")
+    tiny::pipeline(29, &stream(97, 12), None).expect("tiny pipeline assembles")
 }
 
 fn stream(seed: u64, frames: usize) -> Vec<RawFrame> {
-    let user = UserProfile::generate(seed as usize + 1, seed);
-    let track = GestureTrack::from_gestures(
-        &[Gesture::OpenPalm, Gesture::Victory, Gesture::Fist],
-        Vec3::new(0.0, 0.3, 0.0),
-        0.3,
-        0.3,
-    );
-    record_session(
-        &user,
-        &track,
-        frames,
-        &CaptureConfig { chirp: tiny_chirp(), noise_sigma: 0.005, seed, ..Default::default() },
-    )
-    .frames
+    tiny::stream(seed as usize + 1, seed, frames)
 }
 
 /// A single-threaded non-blocking wire client.
@@ -170,7 +95,7 @@ fn wire_results_match_sequential_pipeline_bitwise() {
         ServeConfig::new()
             .max_batch(n_sessions)
             .queue_capacity(frames_per_session)
-            .mesh_policy(MeshPolicy::Never),
+            .profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
     )
     .expect("sharded serve builds");
     let mut server = ServeServer::bind("127.0.0.1:0", serve).expect("ephemeral bind");
@@ -265,7 +190,7 @@ fn foreign_session_ids_get_typed_rejects() {
     let serve = ShardedServe::new(
         tiny_pipeline(),
         1,
-        ServeConfig::new().mesh_policy(MeshPolicy::Never),
+        ServeConfig::new().profile(InferenceProfile::from_env().mesh_policy(MeshPolicy::Never)),
     )
     .expect("sharded serve builds");
     let mut server = ServeServer::bind("127.0.0.1:0", serve).expect("ephemeral bind");
@@ -310,25 +235,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every supported (version, precision) Hello survives an
-    /// encode/decode round trip; v1 Hellos lose the precision byte and
-    /// negotiate down to f32 by design.
+    /// encode/decode round trip; the one version is [`WIRE_VERSION`].
     #[test]
-    fn hello_round_trips_across_supported_versions(
-        version in MIN_WIRE_VERSION..=WIRE_VERSION,
-        int8 in 0u8..2,
-    ) {
+    fn hello_round_trips_across_supported_versions(int8 in 0u8..2) {
         let precision = if int8 == 1 { Precision::Int8 } else { Precision::F32 };
-        let msg = WireMsg::Hello { version, precision };
+        let msg = WireMsg::Hello { version: WIRE_VERSION, precision };
         let mut bytes = Vec::new();
         encode(&msg, &mut bytes);
         let mut dec = Decoder::new();
         dec.push_bytes(&bytes);
         let got = dec.next_msg().expect("well-formed Hello decodes").expect("complete");
-        let expected = if version >= 2 { precision } else { Precision::F32 };
         match got {
             WireMsg::Hello { version: v, precision: p } => {
-                prop_assert_eq!(v, version);
-                prop_assert_eq!(p, expected);
+                prop_assert_eq!(v, WIRE_VERSION);
+                prop_assert_eq!(p, precision);
             }
             other => {
                 prop_assert!(false, "expected Hello, decoded {other:?}");
@@ -341,13 +261,12 @@ proptest! {
     /// never yields a message: the decoder just reports "incomplete".
     #[test]
     fn truncated_hellos_stay_incomplete_without_panicking(
-        version in MIN_WIRE_VERSION..=WIRE_VERSION,
         int8 in 0u8..2,
         cut_fraction in 0.0f64..1.0,
     ) {
         let precision = if int8 == 1 { Precision::Int8 } else { Precision::F32 };
         let mut bytes = Vec::new();
-        encode(&WireMsg::Hello { version, precision }, &mut bytes);
+        encode(&WireMsg::Hello { version: WIRE_VERSION, precision }, &mut bytes);
         let cut = ((bytes.len() as f64) * cut_fraction) as usize;
         prop_assume!(cut < bytes.len());
         let mut dec = Decoder::new();

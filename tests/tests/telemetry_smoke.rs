@@ -9,13 +9,12 @@
 use mmhand_core::cube::CubeConfig;
 use mmhand_core::eval::{try_build_cohort, DataConfig};
 use mmhand_core::mesh::MeshReconstructor;
-use mmhand_core::model::ModelConfig;
 use mmhand_core::pipeline::MmHandPipeline;
-use mmhand_core::train::{TrainConfig, Trainer};
+use mmhand_core::tiny;
+use mmhand_core::train::Trainer;
 use mmhand_hand::user::UserProfile;
 use mmhand_math::Vec3;
-use mmhand_radar::capture::{record_session, CaptureConfig};
-use mmhand_radar::{ChirpConfig, Environment};
+use mmhand_radar::capture::record_session;
 use mmhand_telemetry as telemetry;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -26,35 +25,6 @@ use std::time::Instant;
 fn telemetry_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn tiny_data_config() -> DataConfig {
-    let chirp = ChirpConfig { chirps_per_tx: 8, samples_per_chirp: 32, ..Default::default() };
-    let cube = CubeConfig {
-        chirp,
-        range_bins: 8,
-        doppler_bins: 4,
-        azimuth_bins: 4,
-        elevation_bins: 4,
-        frames_per_segment: 2,
-        range_max_m: 0.45,
-        ..Default::default()
-    };
-    DataConfig {
-        users: 1,
-        frames_per_user: 24,
-        gestures_per_track: 2,
-        seq_len: 2,
-        capture: CaptureConfig {
-            chirp,
-            environment: Environment::Playground,
-            noise_sigma: 0.005,
-            ..Default::default()
-        },
-        cube,
-        seed: 1234,
-        ..Default::default()
-    }
 }
 
 #[test]
@@ -68,23 +38,17 @@ fn noop_telemetry_overhead_is_under_two_percent_of_pipeline() {
     let _lock = telemetry_lock();
     telemetry::reset();
     telemetry::set_enabled(true);
-    let data = tiny_data_config();
-    let model = ModelConfig {
-        channels: 6,
-        blocks: 1,
-        feature_dim: 24,
-        lstm_hidden: 24,
-        ..data.model_config()
+    let data = DataConfig {
+        users: 1,
+        frames_per_user: 24,
+        cube: CubeConfig { range_max_m: 0.45, ..tiny::cube() },
+        ..tiny::data(1234)
     };
 
     let t0 = Instant::now();
     let sequences = try_build_cohort(&data).unwrap();
-    let trained = Trainer::new(
-        model,
-        TrainConfig { epochs: 2, batch_size: 4, ..Default::default() },
-    )
-    .try_train(&sequences)
-    .unwrap();
+    let trained =
+        Trainer::new(tiny::model(&data), tiny::train_config()).try_train(&sequences).unwrap();
     let user = UserProfile::generate(1, data.seed);
     let track = user.random_track(Vec3::new(0.0, 0.3, 0.0), 2, 7);
     let session = record_session(&user, &track, 8, &data.capture);
