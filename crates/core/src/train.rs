@@ -4,7 +4,7 @@
 //! at 1e-3 with cosine decay — scaled to the CPU-sized datasets of this
 //! reproduction (epoch counts are configurable).
 
-use crate::dataset::{make_batches, SegmentSequence};
+use crate::dataset::{make_batches, Batch, SegmentSequence};
 use crate::error::PipelineError;
 use crate::loss::{combined_loss, LossWeights};
 use crate::metrics::JointErrors;
@@ -322,9 +322,14 @@ impl TrainedModel {
 ///
 /// Each mini-batch is split along the sample axis into shards of this fixed
 /// size, which run forward/backward concurrently on the [`mmhand_parallel`]
-/// pool. The shard size is deliberately independent of the thread count and
-/// the per-shard gradients are reduced in ascending shard order, so training
-/// results are identical for any `MMHAND_THREADS` setting.
+/// pool. The shards take the lanes first: each runs under a cap of
+/// `lanes / shards` lanes (at least 1), so when a step's shards fill the
+/// pool their GEMMs and convolutions run inline, and only a step with at
+/// least twice as many lanes as shards (a ragged last batch of one shard,
+/// or a wide pool) spreads its layers over the spare lanes. The shard size
+/// is deliberately independent of the thread count and the per-shard
+/// gradients are reduced in ascending shard order, so training results are
+/// identical for any `MMHAND_THREADS` setting.
 const TRAIN_SHARD: usize = 2;
 
 /// Copies rows `lo..hi` (along the leading axis) of a batched tensor.
@@ -342,6 +347,52 @@ struct ShardGrad {
     l3d: f32,
     lkine: f32,
     grads: Vec<(mmhand_nn::ParamId, Tensor)>,
+}
+
+/// Forward and backward over rows `lo..hi` of `batch` on a tape of its
+/// own, against the shared parameters.
+fn shard_grad(
+    model: &MmHandModel,
+    store: &ParamStore,
+    batch: &Batch,
+    (lo, hi): (usize, usize),
+    weights: LossWeights,
+) -> ShardGrad {
+    let n = batch.batch_size();
+    let segments: Vec<Tensor> = batch.segments.iter().map(|s| slice_rows(s, lo, hi)).collect();
+    let mut tape = Tape::new();
+    let outs = model.forward(&mut tape, store, &segments);
+    // Sum the per-step combined losses, then average.
+    let mut total = None;
+    let mut l3d_sum = 0.0;
+    let mut lk_sum = 0.0;
+    for (out, label) in outs.iter().zip(&batch.labels) {
+        let label = slice_rows(label, lo, hi);
+        let (l, l3d, lk) = combined_loss(&mut tape, *out, &label, weights);
+        l3d_sum += l3d;
+        lk_sum += lk;
+        total = Some(match total {
+            None => l,
+            Some(acc) => tape.add(acc, l),
+        });
+    }
+    let steps = outs.len() as f32;
+    let loss = tape.scale(total.expect("non-empty sequence"), 1.0 / steps);
+    // Weight the shard by its share of the batch so the reduced gradient
+    // matches the full-batch mean loss.
+    let weight = (hi - lo) as f32 / n as f32;
+    let loss_value = tape.value(loss).data()[0];
+    // Single-shard batches keep the unscaled loss node (weight is exactly
+    // 1 when the shard spans the batch).
+    let root = if hi - lo == n { loss } else { tape.scale(loss, weight) };
+    let mut grads = Vec::new();
+    tape.backward_with(root, |id, g| grads.push((id, g.clone())));
+    ShardGrad {
+        loss: weight * loss_value,
+        l3d: weight * l3d_sum / steps,
+        lkine: weight * lk_sum / steps,
+        grads,
+    }
 }
 
 /// Trains an [`MmHandModel`] on a set of sequences.
@@ -447,42 +498,15 @@ impl Trainer {
                     .map(|lo| (lo, (lo + TRAIN_SHARD).min(n)))
                     .collect();
                 let backward_span = telemetry::span("train.backward");
-                let shard_results = mmhand_parallel::par_map(&bounds, |&(lo, hi)| {
-                    let segments: Vec<Tensor> =
-                        batch.segments.iter().map(|s| slice_rows(s, lo, hi)).collect();
-                    let mut tape = Tape::new();
-                    let outs = model.forward(&mut tape, &store, &segments);
-                    // Sum the per-step combined losses, then average.
-                    let mut total = None;
-                    let mut l3d_sum = 0.0;
-                    let mut lk_sum = 0.0;
-                    for (out, label) in outs.iter().zip(&batch.labels) {
-                        let label = slice_rows(label, lo, hi);
-                        let (l, l3d, lk) = combined_loss(&mut tape, *out, &label, tc.weights);
-                        l3d_sum += l3d;
-                        lk_sum += lk;
-                        total = Some(match total {
-                            None => l,
-                            Some(acc) => tape.add(acc, l),
-                        });
-                    }
-                    let steps = outs.len() as f32;
-                    let loss = tape.scale(total.expect("non-empty sequence"), 1.0 / steps);
-                    // Weight the shard by its share of the batch so the
-                    // reduced gradient matches the full-batch mean loss.
-                    let weight = (hi - lo) as f32 / n as f32;
-                    let loss_value = tape.value(loss).data()[0];
-                    // Single-shard batches keep the unscaled loss node
-                    // (weight is exactly 1 when the shard spans the batch).
-                    let root = if hi - lo == n { loss } else { tape.scale(loss, weight) };
-                    let mut grads = Vec::new();
-                    tape.backward_with(root, |id, g| grads.push((id, g.clone())));
-                    ShardGrad {
-                        loss: weight * loss_value,
-                        l3d: weight * l3d_sum / steps,
-                        lkine: weight * lk_sum / steps,
-                        grads,
-                    }
+                // Each shard gets `lanes / shards` lanes. When the shards
+                // fill the pool their GEMM bands and per-sample conv tasks
+                // run inline, so a thread waiting on a nested scope never
+                // pops a sibling shard's whole step and parks behind it.
+                let inner = (mmhand_parallel::num_threads() / bounds.len()).max(1);
+                let shard_results = mmhand_parallel::par_map(&bounds, |&rows| {
+                    mmhand_parallel::with_thread_cap(inner, || {
+                        shard_grad(&model, &store, batch, rows, tc.weights)
+                    })
                 });
                 // Reduce in ascending shard order for determinism across
                 // thread counts.

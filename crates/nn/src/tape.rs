@@ -636,10 +636,15 @@ impl Tape {
         self.add_grad(loss, seed);
 
         for i in (0..self.nodes.len()).rev() {
+            // Leaves and parameters route nothing further, so their
+            // gradients are neither cloned nor moved.
+            if matches!(self.nodes[i].op, Op::Leaf | Op::Param(_)) {
+                continue;
+            }
             let Some(dy) = self.nodes[i].grad.clone() else { continue };
             // Each arm reads values it needs, then routes gradients.
             match &self.nodes[i].op {
-                Op::Leaf | Op::Param(_) => {}
+                Op::Leaf | Op::Param(_) => {} // skipped above
                 Op::Add(a, b) => {
                     let (a, b) = (*a, *b);
                     self.add_grad(a, dy.clone());

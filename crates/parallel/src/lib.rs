@@ -20,8 +20,13 @@
 //!   spawned task has finished — including when the scope body panics.
 //! * **Nesting without deadlock.** A thread waiting on its scope *helps*:
 //!   it pops and runs queued tasks instead of blocking, so a worker whose
-//!   task opens a nested scope (e.g. a parallel trainer shard calling a
-//!   parallel GEMM) can never starve the pool.
+//!   task opens a nested scope (e.g. a live window's segment task calling
+//!   a parallel GEMM) can never starve the pool.
+//! * **One level where the outer one fills the lanes.** A fan-out whose
+//!   equal-sized tasks fill the pool runs each under [`with_thread_cap`]
+//!   at `lanes / tasks` (at least 1), so the helpers beneath it run
+//!   inline and never pop a sibling's whole task. The trainer's shards do
+//!   this: on 2 lanes, a step's shards are the only pool tasks.
 //! * **Thread count from `MMHAND_THREADS`.** Unset ⇒
 //!   `std::thread::available_parallelism()`. `MMHAND_THREADS=1` (or a
 //!   1-CPU machine) makes every helper run inline on the caller — the

@@ -30,7 +30,7 @@ fn int8_pipeline() -> MmHandPipeline {
 #[test]
 fn sharded_int8_serve_matches_sequential_int8_bitwise() {
     let n_sessions = 8;
-    let frames_per_session = 8;
+    let frames_per_session = 26;
     let pipeline = int8_pipeline();
     assert_eq!(pipeline.precision(), Precision::Int8);
     let st = pipeline.builder().config().frames_per_segment;

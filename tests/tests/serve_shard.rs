@@ -39,7 +39,7 @@ fn stream(seed: u64, frames: usize) -> Vec<RawFrame> {
 fn shard_widths_match_sequential_pipeline_bitwise() {
     let _lock = telemetry_lock();
     let n_sessions = 8;
-    let frames_per_session = 8;
+    let frames_per_session = 26;
     let pipeline = tiny_pipeline();
     let st = pipeline.builder().config().frames_per_segment;
     let segments = frames_per_session / st;

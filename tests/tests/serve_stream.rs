@@ -30,7 +30,7 @@ fn stream(seed: u64, frames: usize) -> Vec<RawFrame> {
 #[test]
 fn concurrent_sessions_match_sequential_pipeline_bitwise() {
     let n_sessions = 3;
-    let frames_per_session = 12;
+    let frames_per_session = 26;
     let streams: Vec<Vec<RawFrame>> =
         (0..n_sessions).map(|k| stream(50 + k as u64, frames_per_session)).collect();
 

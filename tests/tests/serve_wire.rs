@@ -74,7 +74,7 @@ impl Client {
 #[test]
 fn wire_results_match_sequential_pipeline_bitwise() {
     let n_sessions = 2;
-    let frames_per_session = 8;
+    let frames_per_session = 26;
     let pipeline = tiny_pipeline();
     let st = pipeline.builder().config().frames_per_segment;
     let segments = frames_per_session / st;
