@@ -341,7 +341,8 @@ fn slice_rows(t: &Tensor, lo: usize, hi: usize) -> Tensor {
 }
 
 /// Per-shard result of a forward/backward pass: the shard's mean loss and
-/// component values plus its parameter gradients in tape order.
+/// component values plus its parameter gradients in tape order, moved out
+/// of the shard's tape for the reducer.
 struct ShardGrad {
     loss: f32,
     l3d: f32,
@@ -386,7 +387,7 @@ fn shard_grad(
     // 1 when the shard spans the batch).
     let root = if hi - lo == n { loss } else { tape.scale(loss, weight) };
     let mut grads = Vec::new();
-    tape.backward_with(root, |id, g| grads.push((id, g.clone())));
+    tape.backward_with(root, |id, g| grads.push((id, g)));
     ShardGrad {
         loss: weight * loss_value,
         l3d: weight * l3d_sum / steps,
@@ -508,8 +509,9 @@ impl Trainer {
                         shard_grad(&model, &store, batch, rows, tc.weights)
                     })
                 });
-                // Reduce in ascending shard order for determinism across
-                // thread counts.
+                // Reduce the gradients the shards moved out of their tapes,
+                // in ascending shard order for determinism across thread
+                // counts.
                 let mut batch_loss = 0.0;
                 for shard in &shard_results {
                     batch_loss += shard.loss;

@@ -190,6 +190,10 @@ impl Tape {
 
     /// The accumulated gradient of a variable after [`Tape::backward`]
     /// (`None` if the variable did not influence the loss).
+    ///
+    /// Parameter nodes ([`Tape::param`]) always read `None` after backward:
+    /// their gradients leave the tape, moved to the store or the
+    /// [`Tape::backward_with`] sink.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.nodes[v.0].grad.as_ref()
     }
@@ -232,13 +236,13 @@ impl Tape {
         self.push(Op::Scale(a, s), v)
     }
 
-    /// Rectified linear unit.
+    /// Rectified linear unit. Negative inputs become `+0.0`; everything
+    /// else, `−0.0` and NaN included, passes through with its bits.
     pub fn relu(&mut self, a: Var) -> Var {
         let mut v = self.nodes[a.0].value.clone();
+        // A select rather than a conditional store, so the loop vectorises.
         for x in v.data_mut() {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
+            *x = if *x < 0.0 { 0.0 } else { *x };
         }
         self.push(Op::Relu(a), v)
     }
@@ -624,14 +628,19 @@ impl Tape {
     /// The loss is seeded with a gradient of ones (it is normally a `[1]`
     /// scalar from [`Tape::mean_all`] or [`Tape::external_loss`]).
     pub fn backward(&mut self, loss: Var, store: &mut ParamStore) {
-        self.backward_with(loss, |id, g| store.accumulate_grad(id, g));
+        self.backward_with(loss, |id, g| store.accumulate_grad(id, &g));
     }
 
     /// Like [`Tape::backward`], but routes each parameter gradient through
     /// `sink` instead of a [`ParamStore`]. This lets data-parallel training
     /// shards run backward on tapes that only hold a shared `&ParamStore`,
     /// collecting gradients locally for a deterministic fixed-order reduce.
-    pub fn backward_with(&mut self, loss: Var, mut sink: impl FnMut(ParamId, &Tensor)) {
+    ///
+    /// The sink receives one owned gradient per parameter node, in node
+    /// order; a parameter registered twice on the tape arrives twice. The
+    /// gradients are moved out of the tape, not copied, so afterwards
+    /// [`Tape::grad`] reads `None` for every parameter node.
+    pub fn backward_with(&mut self, loss: Var, mut sink: impl FnMut(ParamId, Tensor)) {
         let seed = Tensor::full(self.nodes[loss.0].value.shape(), 1.0);
         self.add_grad(loss, seed);
 
@@ -972,10 +981,12 @@ impl Tape {
             }
         }
 
-        // Route parameter gradients to the sink in node order.
-        for node in &self.nodes {
-            if let (Op::Param(id), Some(g)) = (&node.op, &node.grad) {
-                sink(*id, g);
+        // Move parameter gradients to the sink in node order.
+        for node in &mut self.nodes {
+            if let Op::Param(id) = node.op {
+                if let Some(g) = node.grad.take() {
+                    sink(id, g);
+                }
             }
         }
     }
@@ -1248,6 +1259,103 @@ mod tests {
         let loss = tape.mean_all(y);
         tape.backward(loss, &mut store);
         assert_eq!(tape.grad(x).unwrap().data(), &[2.0]);
+    }
+
+    #[test]
+    fn relu_keeps_the_bits_of_the_branchy_definition() {
+        // The old form: `if *x < 0.0 { *x = 0.0 }`.
+        let branchy = |x: f32| if x < 0.0 { 0.0 } else { x };
+        let nan_with_payload = f32::from_bits(0x7fc0_1234);
+        let inputs = vec![
+            -1.0,
+            -0.0,
+            0.0,
+            1.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            nan_with_payload,
+            -nan_with_payload,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+        ];
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::from_vec(&[inputs.len()], inputs.clone()));
+        let y = tape.relu(x);
+        let got: Vec<u32> = tape.value(y).data().iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = inputs.iter().map(|&v| branchy(v).to_bits()).collect();
+        assert_eq!(got, want);
+        // Spelled out: −0.0 and NaN payloads pass through, negatives clamp
+        // to +0.0.
+        assert_eq!(got[1], (-0.0_f32).to_bits());
+        assert_eq!(got[6], 0x7fc0_1234);
+        assert_eq!(got[9], 0);
+    }
+
+    /// A graph that registers `w` twice and `b` once, around a leaf `x`.
+    fn two_use_graph(store: &ParamStore, w_id: ParamId, b_id: ParamId) -> (Tape, Var, [Var; 4]) {
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::from_vec(&[1, 2], vec![3.0, -4.0]));
+        let w1 = tape.param(store, w_id);
+        let b = tape.param(store, b_id);
+        let w2 = tape.param(store, w_id);
+        let h = tape.matmul(x, w1);
+        let h = tape.add_row_bias(h, b);
+        let h = tape.tanh(h);
+        let y = tape.matmul(h, w2);
+        let loss = tape.mean_all(y);
+        (tape, loss, [x, w1, b, w2])
+    }
+
+    fn two_use_store() -> (ParamStore, ParamId, ParamId) {
+        let mut store = ParamStore::new();
+        let w_id = store.add("w", Tensor::from_vec(&[2, 2], vec![0.5, -1.0, 0.25, 2.0]));
+        let b_id = store.add("b", Tensor::from_vec(&[2], vec![0.1, -0.2]));
+        (store, w_id, b_id)
+    }
+
+    #[test]
+    fn backward_with_moves_one_gradient_per_parameter_node_in_node_order() {
+        let (store, w_id, b_id) = two_use_store();
+        let (mut tape, loss, [x, w1, b, w2]) = two_use_graph(&store, w_id, b_id);
+        let mut delivered = Vec::new();
+        tape.backward_with(loss, |id, g| delivered.push((id, g)));
+        let ids: Vec<ParamId> = delivered.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [w_id, b_id, w_id], "node order; w arrives once per use");
+        for ((_, g), id) in delivered.iter().zip(ids) {
+            assert_eq!(g.shape(), store.value(id).shape());
+        }
+        // The two uses of w see different gradients.
+        assert_ne!(delivered[0].1.data(), delivered[2].1.data());
+        // The gradients left the tape; the leaf's stays readable.
+        for v in [w1, b, w2] {
+            assert!(tape.grad(v).is_none(), "parameter node keeps no gradient");
+        }
+        assert!(tape.grad(x).is_some());
+    }
+
+    #[test]
+    fn backward_accumulates_the_moved_gradients_bitwise() {
+        // `backward` into a store with non-zero accumulators must equal
+        // adding the sink's gradients one by one in delivery order.
+        let (mut store, w_id, b_id) = two_use_store();
+        store.accumulate_grad(w_id, &Tensor::from_vec(&[2, 2], vec![1e-3, -0.0, 7.5, -2.25]));
+        store.accumulate_grad(b_id, &Tensor::from_vec(&[2], vec![-0.0, 0.125]));
+        let mut expected = store.clone();
+
+        let (mut tape, loss, _) = two_use_graph(&store, w_id, b_id);
+        tape.backward(loss, &mut store);
+
+        let (mut tape, loss, _) = two_use_graph(&expected, w_id, b_id);
+        let mut delivered = Vec::new();
+        tape.backward_with(loss, |id, g| delivered.push((id, g)));
+        for (id, g) in &delivered {
+            expected.accumulate_grad(*id, g);
+        }
+        for id in [w_id, b_id] {
+            let got: Vec<u32> = store.grad(id).data().iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = expected.grad(id).data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{}", store.name(id));
+        }
     }
 
     #[test]

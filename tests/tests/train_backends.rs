@@ -17,29 +17,51 @@
 //! clip threshold sits ~70x above any norm this workload produces, so the
 //! reduction-order change cannot reach the weights — which the unchanged
 //! parameter hash proves.
+//!
+//! The tiny stack never runs the full-scale shapes (32 input channels, a
+//! 12-channel trunk, 2 blocks, 16×16 maps), so a second pair of goldens
+//! pins one seeded full-scale training shard — outputs, loss and every
+//! parameter gradient in sink order — and one full-scale
+//! `predict_sequence`. Their constants were captured before the
+//! convolution data path was rewritten row by row and must never change.
 
 use mmhand_core::cube::CubeConfig;
 use mmhand_core::dataset::SegmentSequence;
-use mmhand_core::model::ModelConfig;
+use mmhand_core::loss::{combined_loss, LossWeights};
+use mmhand_core::model::{MmHandModel, ModelConfig, OUTPUT_DIM};
 use mmhand_core::tiny;
-use mmhand_core::train::{TrainConfig, Trainer};
+use mmhand_core::train::{to_relative, TrainConfig, TrainedModel, Trainer};
+use mmhand_core::DataConfig;
 use mmhand_hand::gesture::Gesture;
+use mmhand_hand::shape::HandShape;
 use mmhand_hand::trajectory::GestureTrack;
 use mmhand_hand::user::UserProfile;
+use mmhand_math::rng::stream_rng;
 use mmhand_math::Vec3;
+use mmhand_nn::{ParamStore, Tape, Tensor};
 use mmhand_radar::capture::{record_session, CaptureConfig};
+
+/// FNV-1a offset basis.
+const FNV_BASIS: u32 = 0x811c9dc5;
+
+/// Folds `bytes` into the running FNV-1a hash `h`.
+fn fnv(mut h: u32, bytes: impl IntoIterator<Item = u8>) -> u32 {
+    for b in bytes {
+        h ^= b as u32;
+        h = h.wrapping_mul(16777619);
+    }
+    h
+}
+
+/// Folds the bit patterns of `xs` into the running hash `h`.
+fn fold_bits(h: u32, xs: &[f32]) -> u32 {
+    fnv(h, xs.iter().flat_map(|x| x.to_bits().to_le_bytes()))
+}
 
 /// Order-sensitive FNV-1a over `f32` bit patterns: any single-ULP change in
 /// any element changes the hash.
 fn bits(xs: &[f32]) -> u32 {
-    let mut h: u32 = 0x811c9dc5;
-    for x in xs {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= b as u32;
-            h = h.wrapping_mul(16777619);
-        }
-    }
-    h
+    fold_bits(FNV_BASIS, xs)
 }
 
 /// The quick-scale training fixture: the tiny radar/cube/model stack,
@@ -109,4 +131,95 @@ fn five_epoch_training_reproduces_frozen_bits() {
         "final grad_norm bits ({backend}); actual {grad_norm} = {:#010x}",
         grad_norm.to_bits()
     );
+}
+
+/// The full-scale model of the default data geometry, with seeded weights.
+fn full_scale_model() -> (MmHandModel, ParamStore) {
+    let cfg = DataConfig::default().model_config();
+    let geometry = (cfg.input_channels(), cfg.channels, cfg.blocks, cfg.range_bins, cfg.angle_bins);
+    assert_eq!(geometry, (32, 12, 2, 16, 16), "full-scale geometry");
+    let mut store = ParamStore::new();
+    let model = MmHandModel::new(&mut store, cfg, &mut stream_rng(2020, "full-scale-weights"));
+    (model, store)
+}
+
+/// `steps` seeded `(n, st·V, D, A)` segment batches for `model`.
+fn full_scale_segments(model: &MmHandModel, n: usize, steps: usize, label: &str) -> Vec<Tensor> {
+    let cfg = &model.config;
+    let shape = [n, cfg.input_channels(), cfg.range_bins, cfg.angle_bins];
+    let mut rng = stream_rng(2020, label);
+    (0..steps).map(|_| Tensor::randn(&shape, 1.0, &mut rng)).collect()
+}
+
+/// Frozen hash of the full-scale shard's per-step outputs and mean loss.
+const GOLDEN_FULL_OUTPUTS: u32 = 0x11b21131;
+/// Frozen hash of the full-scale shard's parameter names and gradients, in
+/// the order `backward_with` delivers them.
+const GOLDEN_FULL_GRADS: u32 = 0x44556b8d;
+/// Frozen hash of a full-scale 3-segment `predict_sequence`.
+const GOLDEN_FULL_SKELETONS: u32 = 0x3da21391;
+
+#[test]
+fn full_scale_shard_reproduces_frozen_bits() {
+    // One 2-sample, 3-segment training shard, built as the trainer builds
+    // it: forward, one combined loss per step, their mean, then backward.
+    let (model, store) = full_scale_model();
+    let segments = full_scale_segments(&model, 2, 3, "full-scale-shard");
+    let poses = [Gesture::OpenPalm, Gesture::Fist, Gesture::Point, Gesture::Pinch];
+    let labels: Vec<Tensor> = (0..3)
+        .map(|t| {
+            let mut flat = Vec::with_capacity(2 * OUTPUT_DIM);
+            for s in 0..2 {
+                let joints = poses[(t + s) % poses.len()].pose().joints(&HandShape::default());
+                let mut row: Vec<f32> = joints.iter().flat_map(|j| j.to_array()).collect();
+                to_relative(&mut row);
+                flat.extend(row);
+            }
+            Tensor::from_vec(&[2, OUTPUT_DIM], flat)
+        })
+        .collect();
+    let mut tape = Tape::new();
+    let outs = model.forward(&mut tape, &store, &segments);
+    let mut total = None;
+    for (out, label) in outs.iter().zip(&labels) {
+        let (l, _, _) = combined_loss(&mut tape, *out, label, LossWeights::default());
+        total = Some(match total {
+            None => l,
+            Some(acc) => tape.add(acc, l),
+        });
+    }
+    let loss = tape.scale(total.expect("three steps"), 1.0 / 3.0);
+    let outputs = outs
+        .iter()
+        .chain([&loss])
+        .fold(FNV_BASIS, |h, v| fold_bits(h, tape.value(*v).data()));
+
+    // Each parameter node's name folds in ahead of its gradient, so the
+    // hash also pins how many gradients arrive and in what order.
+    let mut grads = FNV_BASIS;
+    tape.backward_with(loss, |id, g| {
+        grads = fold_bits(fnv(grads, store.name(id).bytes()), g.data());
+    });
+
+    let backend = mmhand_kernels::backend_name();
+    assert_eq!(outputs, GOLDEN_FULL_OUTPUTS, "full-scale outputs hash ({backend}): {outputs:#010x}");
+    assert_eq!(grads, GOLDEN_FULL_GRADS, "full-scale gradients hash ({backend}): {grads:#010x}");
+}
+
+#[test]
+fn full_scale_predict_sequence_reproduces_frozen_bits() {
+    let (model, store) = full_scale_model();
+    let segments: Vec<Tensor> = full_scale_segments(&model, 1, 3, "full-scale-predict")
+        .into_iter()
+        .map(|s| {
+            let shape = s.shape()[1..].to_vec();
+            s.reshaped(&shape)
+        })
+        .collect();
+    let trained = TrainedModel { model, store, history: Vec::new() };
+    let skeletons = trained.predict_sequence(&segments);
+    assert_eq!(skeletons.len(), 3);
+    let hash = skeletons.iter().fold(FNV_BASIS, |h, s| fold_bits(h, s));
+    let backend = mmhand_kernels::backend_name();
+    assert_eq!(hash, GOLDEN_FULL_SKELETONS, "full-scale skeletons hash ({backend}): {hash:#010x}");
 }
