@@ -219,8 +219,11 @@ impl MeshReconstructor {
             let lq5 = tape.scale(lq, 5.0);
             let loss = tape.add(lb, lq5);
             tape.backward(loss, &mut self.store);
-            adam.step(&mut self.store);
             last = tape.value(loss).data()[0];
+            // The tape shares the parameter values; dropping it first lets
+            // Adam update them in place instead of copying each one.
+            drop(tape);
+            adam.step(&mut self.store);
         }
         self.fitted = true;
         last

@@ -63,10 +63,11 @@ pub struct PipelineOutput {
 
 /// The full estimator: cube builder + trained regressor + mesh module.
 ///
-/// Cloning deep-copies the trained parameters and mesh module and shares
-/// the cube builder's cached FFT/zoom plans (they are `Arc`-backed), which
-/// is how `mmhand-serve` materialises one independent pipeline per shard
-/// from a single training run.
+/// Cloning shares the cube builder's cached FFT/zoom plans (they are
+/// `Arc`-backed) and the parameter values of the regressor and the mesh
+/// networks (copy-on-write, see [`mmhand_nn::ParamStore`]), which is how
+/// `mmhand-serve` materialises one independent pipeline per shard from a
+/// single training run, with one copy of the weights between them.
 #[derive(Clone)]
 pub struct MmHandPipeline {
     builder: CubeBuilder,

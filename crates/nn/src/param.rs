@@ -6,6 +6,7 @@
 //! `backward`, and [`crate::optim::Adam`] consumes them.
 
 use crate::tensor::Tensor;
+use std::sync::Arc;
 
 /// Handle to one parameter in a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -14,7 +15,9 @@ pub struct ParamId(pub(crate) usize);
 #[derive(Clone)]
 struct Param {
     name: String,
-    value: Tensor,
+    /// Shared with every tape node that registered it and every clone of
+    /// the store; a write copies it first when it is shared.
+    value: Arc<Tensor>,
     grad: Tensor,
     m: Tensor,
     v: Tensor,
@@ -22,9 +25,13 @@ struct Param {
 
 /// Storage for all parameters of a model.
 ///
-/// Cloning deep-copies every parameter (values, gradients, optimizer
-/// moments), so a cloned model evolves independently — serve shards clone
-/// one trained store per shard.
+/// Parameter values are copy-on-write: a clone of the store, and every
+/// [`crate::tape::Tape`] node that registered a parameter, shares the value
+/// until one side writes it ([`ParamStore::value_mut`], an Adam step,
+/// [`ParamStore::restore`]), and the writer copies it first. A cloned model
+/// still evolves independently — serve shards clone one trained store per
+/// shard and share one copy of its weights. Gradients and optimizer moments
+/// are copied by a clone.
 #[derive(Clone, Default)]
 pub struct ParamStore {
     params: Vec<Param>,
@@ -41,7 +48,7 @@ impl ParamStore {
         let shape = value.shape().to_vec();
         self.params.push(Param {
             name: name.to_string(),
-            value,
+            value: Arc::new(value),
             grad: Tensor::zeros(&shape),
             m: Tensor::zeros(&shape),
             v: Tensor::zeros(&shape),
@@ -69,9 +76,15 @@ impl ParamStore {
         &self.params[id.0].value
     }
 
+    /// The parameter's value as the shared handle a tape node holds.
+    pub(crate) fn shared_value(&self, id: ParamId) -> &Arc<Tensor> {
+        &self.params[id.0].value
+    }
+
     /// Mutable access to the parameter's value (e.g. for loading weights).
+    /// A value still shared with a tape or a store clone is copied first.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.params[id.0].value
+        Arc::make_mut(&mut self.params[id.0].value)
     }
 
     /// The parameter's accumulated gradient.
@@ -144,7 +157,7 @@ impl ParamStore {
         id: ParamId,
     ) -> (&mut Tensor, &Tensor, &mut Tensor, &mut Tensor) {
         let p = &mut self.params[id.0];
-        (&mut p.value, &p.grad, &mut p.m, &mut p.v)
+        (Arc::make_mut(&mut p.value), &p.grad, &mut p.m, &mut p.v)
     }
 
     /// Serialises all parameter values into a flat byte-free `Vec<f32>`
@@ -163,7 +176,7 @@ impl ParamStore {
         let mut off = 0;
         for p in &mut self.params {
             let n = p.value.len();
-            p.value.data_mut().copy_from_slice(&flat[off..off + n]);
+            Arc::make_mut(&mut p.value).data_mut().copy_from_slice(&flat[off..off + n]);
             off += n;
         }
     }
@@ -218,6 +231,30 @@ mod tests {
         s.restore(&snap);
         assert_eq!(s.value(a).data(), &[1.0, 2.0]);
         assert_eq!(s.value(b).data(), &[3.0]);
+    }
+
+    #[test]
+    fn clones_stay_independent_after_either_side_writes() {
+        let bits = |s: &ParamStore, id| -> Vec<u32> {
+            s.value(id).data().iter().map(|v| v.to_bits()).collect()
+        };
+        let mut source = ParamStore::new();
+        let id = source.add("w", Tensor::from_vec(&[3], vec![1.0, -0.0, 2.0]));
+        let original = bits(&source, id);
+
+        // Writing the clone leaves the source alone.
+        let mut clone = source.clone();
+        assert_eq!(clone.value(id).data().as_ptr(), source.value(id).data().as_ptr());
+        clone.value_mut(id).data_mut()[1] = 0.0;
+        assert_eq!(bits(&source, id), original);
+        assert_eq!(bits(&clone, id), [1.0f32, 0.0, 2.0].map(f32::to_bits));
+
+        // Writing the source leaves a clone alone.
+        let second = source.clone();
+        source.restore(&[3.0, 4.0, 5.0]);
+        assert_eq!(bits(&second, id), original);
+        assert_eq!(bits(&source, id), [3.0f32, 4.0, 5.0].map(f32::to_bits));
+        assert_eq!(bits(&clone, id), [1.0f32, 0.0, 2.0].map(f32::to_bits));
     }
 
     #[test]

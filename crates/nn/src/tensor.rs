@@ -116,6 +116,14 @@ impl Tensor {
         Tensor { data: self.data.clone(), shape: shape.to_vec() }
     }
 
+    /// [`Tensor::reshaped`] that keeps this tensor's buffer.
+    pub(crate) fn into_reshaped(mut self, shape: &[usize]) -> Tensor {
+        let n: usize = shape.iter().product();
+        assert_eq!(self.len(), n, "cannot reshape {:?} to {shape:?}", self.shape);
+        self.shape = shape.to_vec();
+        self
+    }
+
     /// Element-wise addition.
     ///
     /// # Panics
