@@ -10,6 +10,9 @@
 //! * [`surrogates`] — runnable stand-ins for the wireless baselines
 //!   (mm4Arm-like per-frame regressor, HandFi-like coarse-channel model).
 
+// Unit tests pin exact values; library code keeps `clippy::float_cmp`.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod ablations;
 pub mod geometric;
 pub mod literature;

@@ -30,6 +30,7 @@ fn main() -> ExitCode {
     };
     let cfg = ExperimentConfig::from_env();
     println!("mmHand experiment suite (scale: {:?})", cfg.scale);
+    #[expect(clippy::disallowed_methods, reason = "an experiment binary reports its wall time")]
     let t0 = std::time::Instant::now();
     let mut failures = Vec::new();
     for (name, run) in suite {

@@ -34,6 +34,7 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
     }
     let mut best = f64::INFINITY;
     for _ in 0..SAMPLES {
+        #[expect(clippy::disallowed_methods, reason = "a kernel benchmark times its loop")]
         let t0 = Instant::now();
         for _ in 0..REPS {
             f();

@@ -66,6 +66,7 @@ fn run_child(cfg: &ExperimentConfig) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    #[expect(clippy::disallowed_methods, reason = "the training benchmark times the run")]
     let t0 = Instant::now();
     let trained =
         match Trainer::new(cfg.model.clone(), cfg.train.clone()).try_train(&sequences) {

@@ -17,6 +17,10 @@
 //! angular resolution is inherently coarse — true of the physical device as
 //! well.
 
+// Serving runs through this module: errors are typed, never panics (see
+// `mmhand-serve`'s crate root).
+#![deny(clippy::expect_used, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::error::PipelineError;
 use mmhand_dsp::error::DspError;
 use mmhand_dsp::fft::{fft_shift_inplace, plan, FftPlan};

@@ -15,8 +15,10 @@
 //!   [`PipelineBuilder::build`](crate::PipelineBuilder::build), so no tape
 //!   shape error reaches this type.
 //! * Serving code must never unwrap on this path: malformed client input
-//!   has to surface as an `Err` (enforced by the `serve_hygiene` audit
-//!   rule and the serve property tests).
+//!   has to surface as an `Err` (enforced by clippy's `expect_used` and
+//!   `unreachable` lints, denied in `cube.rs`, `pipeline.rs` and
+//!   `mmhand-serve`, by the assertion ban in `tests/src/rules.rs`, and
+//!   by the serve property tests).
 
 use mmhand_dsp::DspError;
 use mmhand_radar::RadarError;

@@ -47,6 +47,9 @@
 //! # Ok::<(), mmhand_core::PipelineError>(())
 //! ```
 
+// Unit tests pin exact values; library code keeps `clippy::float_cmp`.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod cube;
 pub mod dataset;
 pub mod error;

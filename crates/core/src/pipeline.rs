@@ -2,6 +2,10 @@
 //! pre-processing → 3-D skeletons → MANO meshes, with the stage timing
 //! instrumentation behind the paper's Fig. 26.
 
+// Serving runs through this module: errors are typed, never panics (see
+// `mmhand-serve`'s crate root).
+#![deny(clippy::expect_used, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::cube::{CubeBuilder, CubeConfig};
 use crate::error::PipelineError;
 use crate::mesh::{MeshReconstructor, ReconstructedHand};

@@ -35,7 +35,7 @@ pub fn is_pow2(n: usize) -> bool {
 
 /// Zero-pads `x` to the next power-of-two length.
 pub fn zero_pad_pow2(x: &[Complex]) -> Vec<Complex> {
-    // audit: pool-exempt — owned return value; hot callers use zero_pad_pow2_into
+    // Not pooled: owned return value; hot callers use zero_pad_pow2_into
     let mut out = Vec::with_capacity(next_pow2(x.len()));
     out.extend_from_slice(x);
     out.resize(out.capacity(), Complex::ZERO);
@@ -55,10 +55,10 @@ pub fn zero_pad_pow2_into(x: &[Complex], out: &mut Vec<Complex>) {
 /// carried NaN/Inf, caught here at the first transform instead of after it
 /// has smeared across the whole spectrum.
 #[cfg(feature = "sanitize-numerics")]
+#[expect(clippy::panic, reason = "the sanitizer traps numeric poison at the transform")]
 fn check_finite(context: &str, x: &[Complex]) {
     for (i, c) in x.iter().enumerate() {
         if !c.re.is_finite() || !c.im.is_finite() {
-            // audit: allow(no_panic) — the sanitizer's whole job is to trap numeric poison at the transform
             panic!("numeric poison in {context}: bin {i} is {}+{}i", c.re, c.im);
         }
     }
@@ -193,7 +193,7 @@ fn fft_points_histogram() -> &'static mmhand_telemetry::Histogram {
 /// Concatenated per-stage twiddle tables for length `n`, filled with the
 /// reference transform's exact recurrence (`w = ONE; w *= wlen; …`).
 fn twiddles(n: usize, inverse: bool) -> Vec<Complex> {
-    // audit: pool-exempt — one-time plan construction, cached per size
+    // Not pooled: one-time plan construction, cached per size
     let mut table = Vec::with_capacity(n.saturating_sub(1));
     let sign = if inverse { 1.0 } else { -1.0 };
     let mut len = 2;
@@ -322,7 +322,7 @@ pub fn fft_real(x: &[f32]) -> Vec<Complex> {
 pub fn fft_shift<T: Copy>(x: &[T]) -> Vec<T> {
     let n = x.len();
     let half = n.div_ceil(2);
-    // audit: pool-exempt — owned return value; hot callers use fft_shift_inplace
+    // Not pooled: owned return value; hot callers use fft_shift_inplace
     let mut out = Vec::with_capacity(n);
     out.extend_from_slice(&x[half..]);
     out.extend_from_slice(&x[..half]);

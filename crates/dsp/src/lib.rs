@@ -31,6 +31,9 @@
 //! assert_eq!(peak, 5);
 //! ```
 
+// Unit tests pin exact values; library code keeps `clippy::float_cmp`.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod error;
 pub mod fft;
 pub mod filter;

@@ -24,6 +24,9 @@
 //! assert_eq!(joints.len(), 21);
 //! ```
 
+// Unit tests pin exact values; library code keeps `clippy::float_cmp`.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod gesture;
 pub mod ik;
 pub mod mano;

@@ -313,11 +313,7 @@ pub fn scalar_kernels() -> &'static dyn Kernels {
 pub fn simd_kernels() -> Option<&'static dyn Kernels> {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            static SIMD: simd::SimdKernels = simd::SimdKernels;
-            return Some(&SIMD);
-        }
-        None
+        simd::SimdKernels::detect().map(|k| k as &'static dyn Kernels)
     }
     #[cfg(not(all(target_arch = "x86_64", not(miri))))]
     None

@@ -120,7 +120,7 @@ impl Kernels for ScalarKernels {
             for k in 0..2 {
                 let j = w.joints[k] as usize;
                 let wk = w.weights[k];
-                // audit: allow(float_eq) — skinning weights are constructed as exact 0.0 for unused slots
+                // Skinning weights are constructed as exact 0.0 for unused slots.
                 if wk == 0.0 {
                     continue;
                 }

@@ -16,9 +16,21 @@ use crate::{BiquadCoeffs, Kernels, SkinAttachment, GEMM_MR, MAX_BIQUADS, SQ_SUM_
 use mmhand_math::{Complex, Quaternion, Vec3};
 use std::arch::x86_64::*;
 
-/// AVX2/SSE2 implementation of every dispatched kernel. Only constructed
-/// (in `lib.rs`) after `is_x86_feature_detected!("avx2")` returns true.
-pub(crate) struct SimdKernels;
+/// AVX2/SSE2 implementation of every dispatched kernel. The private field
+/// keeps every other module from building one, so a value exists only
+/// after [`SimdKernels::detect`] has seen AVX2 on this CPU.
+pub(crate) struct SimdKernels {
+    _avx2_detected: (),
+}
+
+impl SimdKernels {
+    /// The backend, when this CPU supports AVX2 (which implies every SSE
+    /// level the narrow kernels use).
+    pub(crate) fn detect() -> Option<&'static SimdKernels> {
+        static SIMD: SimdKernels = SimdKernels { _avx2_detected: () };
+        std::arch::is_x86_feature_detected!("avx2").then_some(&SIMD)
+    }
+}
 
 /// Width of the AVX2 `A·Bᵀ` column panel: one `f32x8` register.
 const ABT_W: usize = 8;
@@ -41,7 +53,7 @@ impl Kernels for SimdKernels {
         n: usize,
     ) {
         // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
-        // succeeded (see `simd_kernels` in lib.rs).
+        // succeeded (see `SimdKernels::detect`).
         unsafe { gemm_4xn_avx2(apack, b, c0, c1, c2, c3, kb, kend, n) }
     }
 
@@ -63,17 +75,20 @@ impl Kernels for SimdKernels {
         debug_assert!(out.len() >= ABT_W);
         debug_assert!(bpack.len() >= a_row.len() * ABT_W);
         // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
-        // succeeded (see `simd_kernels` in lib.rs).
+        // succeeded (see `SimdKernels::detect`).
         unsafe { abt_dot_panel_avx2(a_row, bpack, out) }
     }
 
     fn fft_stage(&self, x: &mut [Complex], tw: &[Complex], len: usize) {
-        // SAFETY: (all arms) `SimdKernels` exists only on CPUs where AVX2
-        // detection succeeded (see `simd_kernels` in lib.rs), and AVX2
-        // implies every SSE level the narrow-stage paths use.
         match len / 2 {
+            // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
+            // succeeded (see `SimdKernels::detect`).
             half if half >= 4 => unsafe { fft_stage_avx2(x, tw, len) },
+            // SAFETY: AVX2 detection succeeded before this value was built,
+            // and AVX2 implies the SSE3 this 4-point stage uses.
             2 => unsafe { fft_stage2_sse3(x, tw) },
+            // SAFETY: AVX2 detection succeeded before this value was built,
+            // and AVX2 implies the SSE3 this 2-point stage uses.
             1 => unsafe { fft_stage1_sse3(x, tw) },
             _ => ScalarKernels.fft_stage(x, tw, len),
         }
@@ -83,7 +98,7 @@ impl Kernels for SimdKernels {
         debug_assert!(coeffs.len() <= MAX_BIQUADS);
         debug_assert!(x.len().is_multiple_of(lanes), "x must hold whole rows of {lanes} lanes");
         // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
-        // succeeded (see `simd_kernels` in lib.rs); the kernel bounds every
+        // succeeded (see `SimdKernels::detect`); the kernel bounds every
         // access by the whole rows of `x` itself.
         unsafe { iir_cascade_lanes_avx2(coeffs, gain, x, lanes) }
     }
@@ -104,31 +119,31 @@ impl Kernels for SimdKernels {
 
     fn qgemm_row_i8(&self, x: &[i8], wt: &[i8], out: &mut [i32], k: usize, n: usize) {
         // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
-        // succeeded (see `simd_kernels` in lib.rs).
+        // succeeded (see `SimdKernels::detect`).
         unsafe { qgemm_row_i8_avx2(x, wt, out, k, n) }
     }
 
     fn relu_backward(&self, dy: &mut [f32], y: &[f32]) {
         // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
-        // succeeded (see `simd_kernels` in lib.rs).
+        // succeeded (see `SimdKernels::detect`).
         unsafe { relu_backward_avx2(dy, y) }
     }
 
     fn sigmoid_backward(&self, dy: &mut [f32], y: &[f32]) {
         // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
-        // succeeded (see `simd_kernels` in lib.rs).
+        // succeeded (see `SimdKernels::detect`).
         unsafe { sigmoid_backward_avx2(dy, y) }
     }
 
     fn tanh_backward(&self, dy: &mut [f32], y: &[f32]) {
         // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
-        // succeeded (see `simd_kernels` in lib.rs).
+        // succeeded (see `SimdKernels::detect`).
         unsafe { tanh_backward_avx2(dy, y) }
     }
 
     fn axpy(&self, acc: &mut [f32], g: &[f32]) {
         // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
-        // succeeded (see `simd_kernels` in lib.rs).
+        // succeeded (see `SimdKernels::detect`).
         unsafe { axpy_avx2(acc, g) }
     }
 
@@ -153,7 +168,7 @@ impl Kernels for SimdKernels {
                 && dbeta.len() >= xr.len()
         );
         // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
-        // succeeded (see `simd_kernels` in lib.rs); the slice-length
+        // succeeded (see `SimdKernels::detect`); the slice-length
         // preconditions are debug-asserted above.
         unsafe {
             layer_norm_backward_row_avx2(xr, dyr, gamma, mean, rstd, dxhat, dx, dgamma, dbeta)
@@ -177,14 +192,14 @@ impl Kernels for SimdKernels {
             grad.len() == value.len() && m.len() == value.len() && v.len() == value.len()
         );
         // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
-        // succeeded (see `simd_kernels` in lib.rs); the equal-length
+        // succeeded (see `SimdKernels::detect`); the equal-length
         // precondition is debug-asserted above.
         unsafe { adam_step_avx2(value, grad, m, v, beta1, beta2, bias1, bias2, lr, eps) }
     }
 
     fn sq_sum_blocked(&self, x: &[f32]) -> f32 {
         // SAFETY: `SimdKernels` exists only on CPUs where AVX2 detection
-        // succeeded (see `simd_kernels` in lib.rs).
+        // succeeded (see `SimdKernels::detect`).
         unsafe { sq_sum_blocked_avx2(x) }
     }
 }
@@ -859,7 +874,7 @@ unsafe fn lbs_skin_sse2(
         for k in 0..2 {
             let j = w.joints[k] as usize;
             let wk = w.weights[k];
-            // audit: allow(float_eq) — skinning weights are constructed as exact 0.0 for unused slots
+            // Skinning weights are constructed as exact 0.0 for unused slots.
             if wk == 0.0 {
                 continue;
             }

@@ -339,6 +339,7 @@ fn run_workload(pipeline: MmHandPipeline, args: &Args) -> Result<RunStats, Box<d
     // still terminates.
     let target_results = (clients.len() * args.segments) as u64;
 
+    #[expect(clippy::disallowed_methods, reason = "a load generator times its run")]
     let t0 = Instant::now();
     let mut round = 0usize;
     while stats.results < target_results && round < args.rounds {
@@ -362,6 +363,7 @@ fn run_workload(pipeline: MmHandPipeline, args: &Args) -> Result<RunStats, Box<d
                     c.remaining -= 1;
                     // This frame completed a segment: start its latency clock.
                     if c.cursor % seg_frames == 0 {
+                        #[expect(clippy::disallowed_methods, reason = "times segment latency")]
                         c.inflight.push_back(Instant::now());
                     }
                 }

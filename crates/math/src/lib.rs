@@ -22,6 +22,9 @@
 //! assert!((v - Vec3::new(0.0, 1.0, 0.0)).norm() < 1e-6);
 //! ```
 
+// Unit tests pin exact values; library code keeps `clippy::float_cmp`.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod complex;
 pub mod mat3;
 pub mod quaternion;

@@ -219,7 +219,7 @@ impl Index<usize> for Vec3 {
             0 => &self.x,
             1 => &self.y,
             2 => &self.z,
-            // audit: allow(no_panic) — the std `Index` contract requires a panic on out-of-bounds
+            #[expect(clippy::panic, reason = "std's `Index` contract panics out of bounds")]
             _ => panic!("Vec3 index {index} out of range"),
         }
     }
@@ -232,7 +232,7 @@ impl IndexMut<usize> for Vec3 {
             0 => &mut self.x,
             1 => &mut self.y,
             2 => &mut self.z,
-            // audit: allow(no_panic) — the std `IndexMut` contract requires a panic on out-of-bounds
+            #[expect(clippy::panic, reason = "std's `IndexMut` contract panics out of bounds")]
             _ => panic!("Vec3 index {index} out of range"),
         }
     }

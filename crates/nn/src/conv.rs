@@ -228,7 +228,7 @@ pub fn conv2d_backward(
 
     let mut dx = Tensor::zeros(&[n, c, h, w]);
     let mut dw = Tensor::zeros(&[o, c, k, k]);
-    // audit: pool-exempt — owned return value
+    // Not pooled: owned return value
     let mut db = vec![0.0_f32; o];
 
     // Each sample task owns its dx slice plus a private dW/db partial
@@ -367,7 +367,7 @@ pub fn conv_transpose2d_backward(
 
     let mut dx = Tensor::zeros(&[n, c_in, h, w]);
     let mut dw = Tensor::zeros(&[c_in, c_out, k, k]);
-    // audit: pool-exempt — owned return value
+    // Not pooled: owned return value
     let mut db = vec![0.0_f32; c_out];
 
     // Same shape as conv2d_backward: per-sample tasks with private dW/db

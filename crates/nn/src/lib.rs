@@ -44,6 +44,9 @@
 //! assert!((store.value(w).data()[0] - 2.0).abs() < 0.05);
 //! ```
 
+// Unit tests pin exact values; library code keeps `clippy::float_cmp`.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod conv;
 pub mod gemm;
 pub mod layers;

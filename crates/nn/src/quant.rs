@@ -199,7 +199,7 @@ impl Calibrator {
             let w = store.value(id);
             let (k, n) = match *w.shape() {
                 [k, n] => (k, n),
-                // audit: allow(no_panic) — unreachable invariant: the tape only observes 2-D matmul weights
+                #[expect(clippy::panic, reason = "the tape only observes 2-D matmul weights")]
                 ref s => panic!(
                     "calibrated parameter `{}` has shape {s:?}; matmul weights are 2-D",
                     store.name(id)

@@ -19,9 +19,9 @@ use crate::param::ParamStore;
 /// Panics if `data` contains a NaN or infinity, naming `context` and the
 /// offending element. Compiled to a no-op without `sanitize-numerics`.
 #[cfg(feature = "sanitize-numerics")]
+#[expect(clippy::panic, reason = "the sanitizer traps numeric poison at the write site")]
 pub fn check_finite(context: &str, data: &[f32]) {
     if let Some((i, v)) = data.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-        // audit: allow(no_panic) — the sanitizer's whole job is to trap numeric poison at the write site
         panic!("numeric poison in {context}: element {i} is {v}");
     }
 }
@@ -42,7 +42,7 @@ pub fn dead_params(store: &ParamStore) -> Vec<String> {
     store
         .ids()
         .into_iter()
-        // audit: allow(float_eq) — an accumulator no backward rule touched holds exact 0.0
+        // An accumulator no backward rule touched holds exact 0.0.
         .filter(|&id| store.grad(id).data().iter().all(|&g| g == 0.0))
         .map(|id| store.name(id).to_string())
         .collect()

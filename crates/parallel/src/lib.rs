@@ -51,6 +51,9 @@
 //! assert_eq!(data, vec![0, 0, 1, 1, 2, 2, 3, 3]);
 //! ```
 
+// Unit tests pin exact values; library code keeps `clippy::float_cmp`.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod scratch;
 
 pub use scratch::ScratchPool;

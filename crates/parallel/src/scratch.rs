@@ -105,11 +105,9 @@ impl<T: Copy + Default> ScratchPool<T> {
         ScratchPool { stage, free: RefCell::new(Vec::new()), stage_allocs: OnceCell::new() }
     }
 
-    /// Checks out a buffer of exactly `len` elements, zero-filled.
-    ///
-    /// Return it with [`put`](Self::put) when done; prefer
-    /// [`with`](Self::with), which pairs the two automatically.
-    pub fn take(&self, len: usize) -> Vec<T> {
+    /// Checks out a buffer of exactly `len` elements, zero-filled. Private:
+    /// [`with`](Self::with) is the only checkout, so every buffer goes back.
+    fn take(&self, len: usize) -> Vec<T> {
         let stats = pool_stats();
         stats.checkouts.inc();
         let reused = self.free.borrow_mut().pop();
@@ -138,7 +136,7 @@ impl<T: Copy + Default> ScratchPool<T> {
     }
 
     /// Returns a buffer to the free list for reuse.
-    pub fn put(&self, buf: Vec<T>) {
+    fn put(&self, buf: Vec<T>) {
         if mmhand_telemetry::enabled() {
             let outstanding = OUTSTANDING.fetch_sub(1, Ordering::Relaxed) - 1;
             pool_stats().outstanding.set(outstanding as f64);

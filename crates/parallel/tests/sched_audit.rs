@@ -14,6 +14,9 @@
 //! For four tasks all 24 completion orders are enumerated; for six tasks a
 //! fixed-seed LCG samples a reproducible subset of the 720 orders.
 
+// The helpers below run inside tests and unwrap as tests do.
+#![allow(clippy::unwrap_used)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 

@@ -69,7 +69,7 @@ impl VirtualArray {
         let mut azimuth_row: Vec<usize> = elements
             .iter()
             .enumerate()
-            // audit: allow(float_eq) — element positions at z = 0 are constructed exactly, not computed
+            // Element positions at z = 0 are constructed exactly, not computed.
             .filter(|(_, e)| e.position.z == 0.0)
             .map(|(i, _)| i)
             .collect();

@@ -32,6 +32,9 @@
 //! assert_eq!(session.len(), 4);
 //! ```
 
+// Unit tests pin exact values; library code keeps `clippy::float_cmp`.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod array;
 pub mod capture;
 pub mod config;

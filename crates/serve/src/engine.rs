@@ -9,11 +9,10 @@
 //!
 //! # Determinism
 //!
-//! The engine is synchronous and pull-based — no background threads — so
-//! it composes with the workspace's determinism audit: concurrency happens
-//! only inside [`mmhand_parallel`] (cube building, the batched GEMMs of the
-//! forward pass, mesh reconstruction), all of which are deterministic at
-//! any thread count. Because every op in the forward pass treats batch rows
+//! The engine is synchronous and pull-based — no background threads:
+//! concurrency happens only inside [`mmhand_parallel`] (cube building, the
+//! batched GEMMs of the forward pass, mesh reconstruction), all of which
+//! are deterministic at any thread count. Because every op in the forward pass treats batch rows
 //! independently and accumulates in an order independent of the batch
 //! size, a session's result stream is bitwise identical to running the
 //! same frames through a dedicated single-session pipeline.
@@ -319,7 +318,7 @@ impl ServeEngine {
             self.fair_cursor = last;
         }
 
-        // audit: pool-exempt — per-step job staging, bounded by max_batch
+        // Not pooled: per-step job staging, bounded by max_batch
         let mut jobs = Vec::with_capacity(ready.len());
         for &id in &ready {
             if let Some(s) = self.sessions.get_mut(&id) {
@@ -409,7 +408,7 @@ impl ServeEngine {
         let frames: Vec<&RawFrame> = jobs.iter().flat_map(|job| &job.frames).collect();
         let mut cubes = mmhand_parallel::par_map(&frames, |f| builder.try_process_frame(f))
             .into_iter();
-        // audit: pool-exempt — collects fallible per-job tensors
+        // Not pooled: collects fallible per-job tensors
         let mut tensors = Vec::with_capacity(jobs.len());
         for job in jobs {
             let job_cubes =
@@ -422,7 +421,7 @@ impl ServeEngine {
         let n = tensors.len();
         let seg = tensors[0].shape();
         let shape = [n, seg[0], seg[1], seg[2]];
-        // audit: pool-exempt — becomes the owned batch tensor via from_vec
+        // Not pooled: becomes the owned batch tensor via from_vec
         let mut data = Vec::with_capacity(n * tensors[0].len());
         for t in &tensors {
             data.extend_from_slice(t.data());
@@ -431,9 +430,9 @@ impl ServeEngine {
 
         // Stack LSTM state the same way: (N, hidden).
         let hidden = self.pipeline.model().lstm_hidden();
-        // audit: pool-exempt — become the owned state tensors via from_vec
+        // Not pooled: become the owned state tensors via from_vec
         let mut h_data = Vec::with_capacity(n * hidden);
-        let mut c_data = Vec::with_capacity(n * hidden); // audit: pool-exempt — as above
+        let mut c_data = Vec::with_capacity(n * hidden); // Not pooled: as above
         for job in jobs {
             if let Some(s) = self.sessions.get(&job.session) {
                 h_data.extend_from_slice(s.h.data());

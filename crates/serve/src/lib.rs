@@ -44,6 +44,11 @@
 //! # }
 //! ```
 
+// The serving surface answers malformed input with a typed `ServeError`,
+// never a panic. The source rules in `tests/src/rules.rs` ban the assertion
+// macros here too; `debug_assert!` stays legal.
+#![deny(clippy::expect_used, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod config;
 pub mod engine;
 pub mod error;

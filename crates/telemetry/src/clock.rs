@@ -1,12 +1,12 @@
 //! Injectable time sources for the telemetry layer.
 //!
-//! All span timing goes through the [`Clock`] trait so tests (and the
-//! deterministic-execution audit) can substitute a [`ManualClock`] that
-//! only advances when told to. The default [`MonotonicClock`] is the one
-//! place in the workspace outside `mmhand-parallel`/`mmhand-math::rng`
-//! where wall-clock time is read; `mmhand-audit`'s determinism rule
-//! sanctions exactly this file, and span durations only ever flow into
-//! metrics, never into computation results.
+//! All span timing goes through the [`Clock`] trait so tests can
+//! substitute a [`ManualClock`] that only advances when told to. The
+//! default [`MonotonicClock`] is the one place in the library crates where
+//! wall-clock time is read: its `Instant::now` call is the one library
+//! exemption from the workspace's `disallowed-methods` list (`clippy.toml`),
+//! and span durations only ever flow into metrics, never into computation
+//! results.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -24,6 +24,7 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// A clock anchored at its moment of construction.
+    #[expect(clippy::disallowed_methods, reason = "the one sanctioned wall-clock read")]
     pub fn new() -> Self {
         MonotonicClock { epoch: Instant::now() }
     }

@@ -20,9 +20,8 @@
 //!   view) — but nothing is recorded into histograms.
 //! * **Injectable clock.** Span timing reads the global [`Clock`], which
 //!   defaults to [`clock::MonotonicClock`] and can be swapped for a
-//!   [`clock::ManualClock`] in tests, keeping the workspace's determinism
-//!   audit satisfied: wall-clock access lives in exactly one sanctioned
-//!   module and durations never feed computation results.
+//!   [`clock::ManualClock`] in tests. Wall-clock access lives in exactly
+//!   one sanctioned module and durations never feed computation results.
 //! * **Deterministic exposition.** [`snapshot`] returns metrics sorted by
 //!   name, so the JSON and Prometheus dumps are stable across runs given
 //!   the same recorded values.
@@ -41,6 +40,9 @@
 //! assert!(dump.contains("example.calls"));
 //! let _ = elapsed_ns;
 //! ```
+
+// Unit tests pin exact values; library code keeps `clippy::float_cmp`.
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod clock;
 

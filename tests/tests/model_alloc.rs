@@ -1,20 +1,34 @@
-//! Large heap allocations of the full-scale model's warm forward passes.
+//! Heap allocations of warm hot paths, counted per thread.
 //!
-//! A tape node registered from a `ParamStore` shares the parameter's value
-//! instead of copying it, so a forward pass allocates only its activations.
-//! The full-scale model's activations stay well under 128 KiB apiece, while
-//! its largest parameters (the 384 KiB feature projection and the LSTM
-//! kernels) do not: a block of at least 128 KiB inside a warm forward pass
-//! means a parameter was copied. A counting global allocator sees every
-//! allocation the test thread makes, and each pass runs inside
-//! `mmhand_parallel::sequential_scope`, so its work stays on that thread.
+//! A counting global allocator sees every allocation the test thread
+//! makes, including those inside callees that no scratch-pool counter sees
+//! (a clone, a `Vec` grown outside a pool, a boxed pool task). Each pass
+//! runs once to warm the scratch pools, plans and cached handles, then
+//! once more while counting, inside `mmhand_parallel::sequential_scope` so
+//! its work stays on this thread.
+//!
+//! - The FFT and GEMM kernels allocate nothing, and a conv forward only the
+//!   output it returns; a scratch buffer added inside any of them fails
+//!   here.
+//! - A served step stays within its measured allocation budget.
+//! - The full-scale model's forward passes copy no parameter. A tape node
+//!   registered from a `ParamStore` shares the parameter's value, so a
+//!   forward pass allocates only its activations. Those stay well under
+//!   128 KiB apiece, while the largest parameters (the 384 KiB feature
+//!   projection and the LSTM kernels) do not: a block of at least 128 KiB
+//!   inside a warm forward pass means a parameter was copied.
 
 use mmhand_core::loss::{combined_loss, LossWeights};
 use mmhand_core::model::{MmHandModel, OUTPUT_DIM};
 use mmhand_core::train::TrainedModel;
-use mmhand_core::DataConfig;
+use mmhand_core::{tiny, DataConfig, Precision};
+use mmhand_dsp::fft_inplace;
 use mmhand_math::rng::stream_rng;
-use mmhand_nn::{ParamStore, Tape, Tensor, Var};
+use mmhand_math::Complex;
+use mmhand_nn::conv::conv2d_forward;
+use mmhand_nn::gemm::gemm;
+use mmhand_nn::{ConvSpec, ParamStore, Tape, Tensor, Var};
+use mmhand_serve::{InferenceProfile, ServeConfig, ServeEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -87,18 +101,103 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Tallies what `f` allocates on this thread.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, Allocated) {
+    COUNTS.with(|c| c.set(Some(Allocated::default())));
+    let r = f();
+    (r, COUNTS.with(|c| c.take()).expect("counting"))
+}
+
 /// Runs `f` once to warm the scratch pools and cached handles (kernel
 /// backend, telemetry, plans), then again tallying what it allocates. Both
 /// runs stay on this thread.
 fn warm_allocations<R>(mut f: impl FnMut() -> R) -> Allocated {
     mmhand_parallel::sequential_scope(|| {
         drop(f());
-        COUNTS.with(|c| c.set(Some(Allocated::default())));
-        let r = f();
-        let got = COUNTS.with(|c| c.take()).expect("counting");
-        drop(r);
-        got
+        counted(f).1
     })
+}
+
+fn assert_allocations(what: &str, got: Allocated, expected: usize) {
+    assert_eq!(
+        got.allocations, expected,
+        "{what} made {} allocations ({} bytes), expected {expected}",
+        got.allocations, got.bytes
+    );
+}
+
+#[test]
+fn warm_fft_allocates_nothing() {
+    let mut x: Vec<Complex> = (0..64).map(|i| Complex::new(i as f32, 0.5)).collect();
+    let got = warm_allocations(|| fft_inplace(&mut x));
+    assert_allocations("a 64-point fft_inplace", got, 0);
+}
+
+#[test]
+fn warm_gemm_allocates_nothing() {
+    // The GEMM of a 3×3 conv over 12 channels of a 16×16 map.
+    let (m, k, n) = (12, 108, 256);
+    let mut rng = stream_rng(2021, "alloc-gemm");
+    let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+    let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+    let mut c = vec![0.0; m * n];
+    let got = warm_allocations(|| gemm(a.data(), b.data(), &mut c, m, k, n));
+    assert_allocations("a 12×108×256 gemm into a caller buffer", got, 0);
+}
+
+#[test]
+fn warm_conv_forward_allocates_only_its_output() {
+    let mut rng = stream_rng(2021, "alloc-conv");
+    let x = Tensor::randn(&[1, 12, 16, 16], 1.0, &mut rng);
+    let w = Tensor::randn(&[12, 12, 3, 3], 0.1, &mut rng);
+    let bias = vec![0.1; 12];
+    for stride in [1, 2] {
+        let spec = ConvSpec { in_channels: 12, out_channels: 12, kernel: 3, stride, pad: 1 };
+        let got = warm_allocations(|| conv2d_forward(&x, &w, &bias, &spec));
+        // The output tensor's data and its shape.
+        assert_allocations(&format!("a 3×3 stride-{stride} conv2d_forward"), got, 2);
+    }
+}
+
+/// Allocations of one warm `ServeEngine::step` that batches three tiny-stack
+/// sessions at f32, as measured when this budget was set. A step that
+/// allocates more fails; one that allocates less should lower it.
+const SERVE_STEP_BUDGET: usize = 262;
+
+#[test]
+fn warm_serve_step_stays_within_its_budget() {
+    let (sessions, rounds) = (3, 20);
+    let pipeline = tiny::pipeline(29, &tiny::stream(98, 97, 12), Some(Precision::F32))
+        .expect("tiny pipeline assembles");
+    let st = pipeline.builder().config().frames_per_segment;
+    let profile = InferenceProfile::default().precision(Precision::F32);
+    let mut engine =
+        ServeEngine::new(pipeline, ServeConfig::new().max_batch(sessions).profile(profile))
+            .expect("engine builds");
+    let ids: Vec<u64> = (0..sessions).map(|_| engine.open_session().expect("opens")).collect();
+    let streams: Vec<_> =
+        (0..sessions).map(|k| tiny::stream(51 + k, 50 + k as u64, rounds * st)).collect();
+    for round in 0..rounds {
+        for (&sid, stream) in ids.iter().zip(&streams) {
+            for frame in &stream[round * st..(round + 1) * st] {
+                engine.push_frame(sid, frame.clone()).expect("frame accepted");
+            }
+        }
+        let (report, got) =
+            mmhand_parallel::sequential_scope(|| counted(|| engine.step().expect("step runs")));
+        assert_eq!(report.batched, sessions, "all sessions batch together");
+        for &sid in &ids {
+            engine.take_results(sid).expect("results drain");
+        }
+        // Round 0 warms the pools and plans.
+        if round > 0 {
+            let (n, bytes) = (got.allocations, got.bytes);
+            assert!(
+                n <= SERVE_STEP_BUDGET,
+                "warm round {round}: {n} allocations ({bytes} bytes), budget {SERVE_STEP_BUDGET}"
+            );
+        }
+    }
 }
 
 /// The full-scale model of the default data geometry, with seeded weights.

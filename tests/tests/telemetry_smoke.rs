@@ -45,6 +45,7 @@ fn noop_telemetry_overhead_is_under_two_percent_of_pipeline() {
         ..tiny::data(1234)
     };
 
+    #[expect(clippy::disallowed_methods, reason = "the smoke test compares wall times")]
     let t0 = Instant::now();
     let sequences = try_build_cohort(&data).unwrap();
     let trained =
@@ -82,6 +83,7 @@ fn noop_telemetry_overhead_is_under_two_percent_of_pipeline() {
     telemetry::set_enabled(false);
     let c = telemetry::counter("smoke.noop.counter");
     let h = telemetry::size_histogram("smoke.noop.hist");
+    #[expect(clippy::disallowed_methods, reason = "the smoke test compares wall times")]
     let t1 = Instant::now();
     for i in 0..ops {
         // Each iteration performs two gated ops, doubling the replayed
