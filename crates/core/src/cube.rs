@@ -295,9 +295,9 @@ impl CubeBuilder {
     /// split across the `mmhand-parallel` pool; callers fan out over frames
     /// and segments instead ([`MmHandPipeline`](crate::MmHandPipeline)
     /// over a window's frames, dataset set-up over a session's segments,
-    /// `mmhand-serve` over a micro-batch's frames). The builder keeps no
-    /// state between calls, so one shared `&CubeBuilder` serves every
-    /// worker and the cube is identical at any thread count.
+    /// `mmhand-serve` over the frames pushed since its last step). The
+    /// builder keeps no state between calls, so one shared `&CubeBuilder`
+    /// serves every worker and the cube is identical at any thread count.
     ///
     /// # Errors
     ///

@@ -18,9 +18,11 @@ struct Param {
     /// Shared with every tape node that registered it and every clone of
     /// the store; a write copies it first when it is shared.
     value: Arc<Tensor>,
-    grad: Tensor,
-    m: Tensor,
-    v: Tensor,
+    /// The gradient accumulator and the Adam moments, shared with every
+    /// clone of the store and written the same way.
+    grad: Arc<Tensor>,
+    m: Arc<Tensor>,
+    v: Arc<Tensor>,
 }
 
 /// Storage for all parameters of a model.
@@ -28,10 +30,13 @@ struct Param {
 /// Parameter values are copy-on-write: a clone of the store, and every
 /// [`crate::tape::Tape`] node that registered a parameter, shares the value
 /// until one side writes it ([`ParamStore::value_mut`], an Adam step,
-/// [`ParamStore::restore`]), and the writer copies it first. A cloned model
-/// still evolves independently — serve shards clone one trained store per
-/// shard and share one copy of its weights. Gradients and optimizer moments
-/// are copied by a clone.
+/// [`ParamStore::restore`]), and the writer copies it first. Gradients and
+/// Adam moments are copy-on-write the same way, shared by a clone until
+/// [`ParamStore::accumulate_grad`], [`ParamStore::zero_grad`],
+/// [`ParamStore::clip_grad_norm`] or an Adam step writes them. A cloned
+/// model still evolves independently — serve shards clone one trained
+/// store per shard and share one copy of its weights, gradients and
+/// moments, none of which serving writes.
 #[derive(Clone, Default)]
 pub struct ParamStore {
     params: Vec<Param>,
@@ -49,9 +54,9 @@ impl ParamStore {
         self.params.push(Param {
             name: name.to_string(),
             value: Arc::new(value),
-            grad: Tensor::zeros(&shape),
-            m: Tensor::zeros(&shape),
-            v: Tensor::zeros(&shape),
+            grad: Arc::new(Tensor::zeros(&shape)),
+            m: Arc::new(Tensor::zeros(&shape)),
+            v: Arc::new(Tensor::zeros(&shape)),
         });
         ParamId(self.params.len() - 1)
     }
@@ -108,13 +113,13 @@ impl ParamStore {
             &format!("gradient of parameter `{}`", self.params[id.0].name),
             g.data(),
         );
-        self.params[id.0].grad.add_assign(g);
+        Arc::make_mut(&mut self.params[id.0].grad).add_assign(g);
     }
 
     /// Clears all gradient accumulators.
     pub fn zero_grad(&mut self) {
         for p in &mut self.params {
-            for g in p.grad.data_mut() {
+            for g in Arc::make_mut(&mut p.grad).data_mut() {
                 *g = 0.0;
             }
         }
@@ -140,7 +145,7 @@ impl ParamStore {
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
             for p in &mut self.params {
-                for g in p.grad.data_mut() {
+                for g in Arc::make_mut(&mut p.grad).data_mut() {
                     *g *= s;
                 }
             }
@@ -157,7 +162,7 @@ impl ParamStore {
         id: ParamId,
     ) -> (&mut Tensor, &Tensor, &mut Tensor, &mut Tensor) {
         let p = &mut self.params[id.0];
-        (Arc::make_mut(&mut p.value), &p.grad, &mut p.m, &mut p.v)
+        (Arc::make_mut(&mut p.value), &p.grad, Arc::make_mut(&mut p.m), Arc::make_mut(&mut p.v))
     }
 
     /// Serialises all parameter values into a flat byte-free `Vec<f32>`
@@ -185,6 +190,7 @@ impl ParamStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optim::Adam;
 
     #[test]
     fn add_and_access() {
@@ -233,28 +239,52 @@ mod tests {
         assert_eq!(s.value(b).data(), &[3.0]);
     }
 
+    /// The bits of a parameter's value, gradient and both Adam moments.
+    fn state(s: &ParamStore, id: ParamId) -> [Vec<u32>; 4] {
+        let p = &s.params[id.0];
+        [&p.value, &p.grad, &p.m, &p.v].map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+    }
+
     #[test]
     fn clones_stay_independent_after_either_side_writes() {
-        let bits = |s: &ParamStore, id| -> Vec<u32> {
-            s.value(id).data().iter().map(|v| v.to_bits()).collect()
-        };
+        // A store whose gradient and moments are all non-zero, so every
+        // write below changes some bit of the side it writes.
         let mut source = ParamStore::new();
         let id = source.add("w", Tensor::from_vec(&[3], vec![1.0, -0.0, 2.0]));
-        let original = bits(&source, id);
+        source.accumulate_grad(id, &Tensor::from_vec(&[3], vec![0.5, -1.0, 0.25]));
+        Adam::new(0.1).step(&mut source);
 
-        // Writing the clone leaves the source alone.
-        let mut clone = source.clone();
-        assert_eq!(clone.value(id).data().as_ptr(), source.value(id).data().as_ptr());
-        clone.value_mut(id).data_mut()[1] = 0.0;
-        assert_eq!(bits(&source, id), original);
-        assert_eq!(bits(&clone, id), [1.0f32, 0.0, 2.0].map(f32::to_bits));
+        let clone = source.clone();
+        let [ours, theirs] = [&source, &clone].map(|s| {
+            let p = &s.params[id.0];
+            [&p.value, &p.grad, &p.m, &p.v].map(|t| t.data().as_ptr())
+        });
+        assert_eq!(ours, theirs, "a clone shares the value, gradient and both moments");
 
-        // Writing the source leaves a clone alone.
-        let second = source.clone();
-        source.restore(&[3.0, 4.0, 5.0]);
-        assert_eq!(bits(&second, id), original);
-        assert_eq!(bits(&source, id), [3.0f32, 4.0, 5.0].map(f32::to_bits));
-        assert_eq!(bits(&clone, id), [1.0f32, 0.0, 2.0].map(f32::to_bits));
+        type Write = fn(&mut ParamStore, ParamId);
+        let writes: [(&str, Write); 6] = [
+            ("value_mut", |s, id| s.value_mut(id).data_mut()[1] = 0.0),
+            ("restore", |s, _| s.restore(&[3.0, 4.0, 5.0])),
+            ("accumulate_grad", |s, id| {
+                s.accumulate_grad(id, &Tensor::from_vec(&[3], vec![1.0, 1.0, 1.0]))
+            }),
+            ("zero_grad", |s, _| s.zero_grad()),
+            ("clip_grad_norm", |s, _| s.clip_grad_norm(0.01)),
+            ("an Adam step", |s, _| Adam::new(0.1).step(s)),
+        ];
+        for (what, write) in writes {
+            for clone_writes in [true, false] {
+                let mut a = source.clone();
+                let mut b = a.clone();
+                let (written, other) = if clone_writes { (&mut b, &a) } else { (&mut a, &b) };
+                let before = state(other, id);
+                let was = state(written, id);
+                write(written, id);
+                assert_ne!(state(written, id), was, "{what} must change the side it writes");
+                assert_eq!(state(other, id), before, "{what} leaked into the other side");
+            }
+        }
+        assert_eq!(state(&clone, id), state(&source, id));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! hot path in the workspace: the GEMM/conv kernels in `mmhand-nn`; in
 //! `mmhand-core`, a window's frames (one cube build each) and its segments
 //! (one mmSpaceNet pass each), a session's segments in dataset set-up, and
-//! the trainer's shards; a micro-batch's frames and jobs and the shards in
-//! `mmhand-serve`; and the concurrent experiment runner in `mmhand-bench`.
+//! the trainer's shards; the frames pushed since a serve step, a
+//! micro-batch's jobs and the shards in `mmhand-serve`; and the concurrent
+//! experiment runner in `mmhand-bench`.
 //! A single frame's cube stages run inline: each is far too small to pay
 //! for a fork-join.
 //!
@@ -25,8 +26,9 @@
 //! * **One level where the outer one fills the lanes.** A fan-out whose
 //!   equal-sized tasks fill the pool runs each under [`with_thread_cap`]
 //!   at `lanes / tasks` (at least 1), so the helpers beneath it run
-//!   inline and never pop a sibling's whole task. The trainer's shards do
-//!   this: on 2 lanes, a step's shards are the only pool tasks.
+//!   inline and never pop a sibling's whole task. The trainer's shards and
+//!   serve's shard steps do this: on 2 lanes, a step's shards are the only
+//!   pool tasks.
 //! * **Thread count from `MMHAND_THREADS`.** Unset ⇒
 //!   `std::thread::available_parallelism()`. `MMHAND_THREADS=1` (or a
 //!   1-CPU machine) makes every helper run inline on the caller — the

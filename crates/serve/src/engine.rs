@@ -2,7 +2,11 @@
 //!
 //! [`ServeEngine`] owns an [`MmHandPipeline`] and any number of client
 //! sessions. Clients push raw radar frames into bounded per-session
-//! queues; each [`ServeEngine::step`] drains up to one segment per ready
+//! queues. Each [`ServeEngine::step`] first builds the cube slice of every
+//! frame pushed since the previous step. A segment's earlier frames are
+//! thus built before its last one arrives, and a queued frame waits as a
+//! cube slice (8 KB at the default geometry) instead of its raw samples
+//! (98 KB). The step then drains up to one segment of cubes per ready
 //! session, folds the drained segments into **one** micro-batched forward
 //! pass, advances each session's streaming LSTM state, and buffers one
 //! [`FrameResult`] per segment for the client to take.
@@ -12,10 +16,12 @@
 //! The engine is synchronous and pull-based — no background threads:
 //! concurrency happens only inside [`mmhand_parallel`] (cube building, the
 //! batched GEMMs of the forward pass, mesh reconstruction), all of which
-//! are deterministic at any thread count. Because every op in the forward pass treats batch rows
-//! independently and accumulates in an order independent of the batch
-//! size, a session's result stream is bitwise identical to running the
-//! same frames through a dedicated single-session pipeline.
+//! are deterministic at any thread count. A cube is a pure function of its
+//! frame, so building it at an earlier step changes no bit. Because every
+//! op in the forward pass treats batch rows independently and accumulates
+//! in an order independent of the batch size, a session's result stream is
+//! bitwise identical to running the same frames through a dedicated
+//! single-session pipeline.
 //!
 //! # Backpressure
 //!
@@ -47,7 +53,8 @@ pub struct StepReport {
 /// One drained segment's worth of work for a session.
 struct Job {
     session: u64,
-    frames: Vec<RawFrame>,
+    /// The segment tensor `(st·V, D, A)` stacked from the session's cubes.
+    segment: Tensor,
     skip_mesh: bool,
 }
 
@@ -191,14 +198,15 @@ impl ServeEngine {
         self.sessions.len()
     }
 
-    /// Frames currently queued for a session.
+    /// Frames currently queued for a session: pushed since the last step
+    /// plus built into cubes and not yet inferred.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownSession`] / [`ServeError::SessionEvicted`].
     pub fn queued_frames(&self, session: u64) -> Result<usize, ServeError> {
         match self.sessions.get(&session) {
-            Some(s) => Ok(s.queue.len()),
+            Some(s) => Ok(s.queued()),
             None => Err(self.gone(session)),
         }
     }
@@ -254,7 +262,9 @@ impl ServeEngine {
     ///
     /// The frame's geometry is validated against the pipeline's chirp
     /// configuration *here*, so nothing past the queue can fail on
-    /// malformed client input.
+    /// malformed client input. The push does no signal processing: the
+    /// next [`ServeEngine::step`] builds the frame's cube. The queue's
+    /// capacity counts frames still pending and frames already built.
     ///
     /// # Errors
     ///
@@ -273,19 +283,24 @@ impl ServeEngine {
             telemetry::counter("serve.frames_rejected").inc();
             return Err(ServeError::Pipeline(PipelineError::from(e)));
         }
-        if s.queue.len() >= capacity {
+        if s.queued() >= capacity {
             telemetry::counter("serve.frames_rejected").inc();
             return Err(ServeError::QueueFull { session, capacity });
         }
-        s.queue.push_back(frame);
+        s.pending.push(frame);
         s.stats.frames_in += 1;
         Ok(())
     }
 
-    /// Runs one scheduling round: drains up to one segment from each of up
-    /// to `max_batch` ready sessions, runs the shared micro-batched forward
-    /// pass, advances per-session LSTM state, and buffers results. Sessions
-    /// idle past the eviction budget are removed.
+    /// Runs one scheduling round. It first builds the cube of every frame
+    /// pushed since the previous step: one pool task per frame, in
+    /// ascending session id, then frame order. It then drains up to one
+    /// segment of cubes from each of up to `max_batch` ready sessions, runs
+    /// the shared micro-batched forward pass, advances per-session LSTM
+    /// state, and buffers results. Sessions idle past the eviction budget
+    /// are removed. A segment is therefore batched in the step that
+    /// follows the push of its last frame, and only that frame's cube is
+    /// built on the way to its result.
     ///
     /// Scheduling is round-robin over ascending session ids via a rotating
     /// fairness cursor: selection starts at the first ready id after the
@@ -297,11 +312,14 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Returns [`ServeError::Pipeline`] only on an internal invariant
-    /// violation (frames are geometry-checked at ingress); the affected
-    /// round's drained frames are dropped in that case.
+    /// violation (frames are geometry-checked at ingress); the step stops
+    /// at the first cube or segment that fails to build, dropping the
+    /// frames it was building for that session.
     pub fn step(&mut self) -> Result<StepReport, ServeError> {
         let sp = telemetry::span("serve.step");
-        let st = self.pipeline.builder().config().frames_per_segment;
+        self.build_pending()?;
+        let builder = self.pipeline.builder();
+        let st = builder.config().frames_per_segment;
         let mut ready: Vec<u64> = self
             .sessions
             .values()
@@ -322,14 +340,15 @@ impl ServeEngine {
         let mut jobs = Vec::with_capacity(ready.len());
         for &id in &ready {
             if let Some(s) = self.sessions.get_mut(&id) {
-                let frames: Vec<RawFrame> = s.queue.drain(..st).collect();
-                let backlog_segments = s.queue.len() / st;
+                let segment = builder.try_segment_tensor(&s.cubes.make_contiguous()[..st]);
+                s.cubes.drain(..st);
+                let backlog_segments = s.cubes.len() / st;
                 let skip_mesh = match self.config.profile.mesh_policy {
                     MeshPolicy::Always => false,
                     MeshPolicy::Never => true,
                     MeshPolicy::SkipWhenBacklogged { segments } => backlog_segments >= segments,
                 };
-                jobs.push(Job { session: id, frames, skip_mesh });
+                jobs.push(Job { session: id, segment: segment?, skip_mesh });
             }
         }
 
@@ -354,7 +373,7 @@ impl ServeEngine {
             telemetry::counter("serve.sessions_evicted").inc();
         }
 
-        let depth: usize = self.sessions.values().map(|s| s.queue.len()).sum();
+        let depth: usize = self.sessions.values().map(Session::queued).sum();
         telemetry::gauge("serve.queue_depth").set(depth as f64);
         telemetry::gauge("serve.sessions_active").set(self.sessions.len() as f64);
         sp.finish();
@@ -399,32 +418,42 @@ impl ServeEngine {
         }
     }
 
-    /// Builds cube tensors for the drained jobs, runs the micro-batched
-    /// forward pass, reconstructs meshes, and buffers per-session results.
-    fn run_batch(&mut self, jobs: &[Job]) -> Result<usize, ServeError> {
-        // One task per frame across the batch's jobs, so a lone job's
-        // frames still spread over the pool; results stay in frame order.
+    /// Builds the cube of every frame pushed since the previous step and
+    /// queues it behind the session's earlier cubes. One pool task per
+    /// frame, in ascending session id, then frame order, so a lone
+    /// session's frames still spread over the pool.
+    fn build_pending(&mut self) -> Result<(), ServeError> {
         let builder = self.pipeline.builder();
-        let frames: Vec<&RawFrame> = jobs.iter().flat_map(|job| &job.frames).collect();
-        let mut cubes = mmhand_parallel::par_map(&frames, |f| builder.try_process_frame(f))
-            .into_iter();
-        // Not pooled: collects fallible per-job tensors
-        let mut tensors = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let job_cubes =
-                cubes.by_ref().take(job.frames.len()).collect::<Result<Vec<_>, _>>()?;
-            tensors.push(builder.try_segment_tensor(&job_cubes)?);
+        // Not pooled: per-step staging, bounded by sessions × queue_capacity
+        let frames: Vec<&RawFrame> = self.sessions.values().flat_map(|s| &s.pending).collect();
+        if frames.is_empty() {
+            return Ok(());
         }
+        let mut cubes =
+            mmhand_parallel::par_map(&frames, |f| builder.try_process_frame(f)).into_iter();
+        for s in self.sessions.values_mut() {
+            let n = s.pending.len();
+            s.pending.clear();
+            for cube in cubes.by_ref().take(n) {
+                s.cubes.push_back(cube?);
+            }
+        }
+        Ok(())
+    }
 
+    /// Stacks the jobs' prebuilt segment tensors into one batch, runs the
+    /// micro-batched forward pass, reconstructs meshes, and buffers
+    /// per-session results.
+    fn run_batch(&mut self, jobs: &[Job]) -> Result<usize, ServeError> {
         // Stack segments along the batch axis: (N, st·V, D, A). Segment
         // tensors are always rank 3, so the batch shape fits a fixed array.
-        let n = tensors.len();
-        let seg = tensors[0].shape();
+        let n = jobs.len();
+        let seg = jobs[0].segment.shape();
         let shape = [n, seg[0], seg[1], seg[2]];
         // Not pooled: becomes the owned batch tensor via from_vec
-        let mut data = Vec::with_capacity(n * tensors[0].len());
-        for t in &tensors {
-            data.extend_from_slice(t.data());
+        let mut data = Vec::with_capacity(n * jobs[0].segment.len());
+        for job in jobs {
+            data.extend_from_slice(job.segment.data());
         }
         let batch = Tensor::from_vec(&shape, data);
 

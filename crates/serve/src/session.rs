@@ -2,6 +2,7 @@
 //! and the bounded result buffer.
 
 use mmhand_core::mesh::ReconstructedHand;
+use mmhand_core::CubeFrame;
 use mmhand_nn::Tensor;
 use mmhand_radar::RawFrame;
 use std::collections::VecDeque;
@@ -32,10 +33,16 @@ pub struct SessionStats {
 }
 
 /// Internal per-session state. Owned by the engine; clients only see ids.
+///
+/// The ingress queue has two parts: the validated raw frames pushed since
+/// the last step, and the cube slices that earlier steps built from earlier
+/// pushes. `queue_capacity` bounds the two together.
 pub(crate) struct Session {
     pub(crate) id: u64,
-    /// Bounded ingress queue of validated raw frames.
-    pub(crate) queue: VecDeque<RawFrame>,
+    /// Validated raw frames pushed since the last step, oldest first.
+    pub(crate) pending: Vec<RawFrame>,
+    /// Cube slices of earlier pushes, oldest first, not yet inferred.
+    pub(crate) cubes: VecDeque<CubeFrame>,
     /// Bounded buffer of results not yet taken by the client.
     pub(crate) results: VecDeque<FrameResult>,
     /// Streaming LSTM hidden state, shape `(1, hidden)`.
@@ -53,7 +60,8 @@ impl Session {
     pub(crate) fn new(id: u64, hidden: usize) -> Self {
         Session {
             id,
-            queue: VecDeque::new(),
+            pending: Vec::new(),
+            cubes: VecDeque::new(),
             results: VecDeque::new(),
             h: Tensor::zeros(&[1, hidden]),
             c: Tensor::zeros(&[1, hidden]),
@@ -63,9 +71,14 @@ impl Session {
         }
     }
 
-    /// Whether the session can be scheduled this step: a whole segment is
-    /// queued and the result buffer has room.
+    /// Frames in the ingress queue: pending plus built.
+    pub(crate) fn queued(&self) -> usize {
+        self.pending.len() + self.cubes.len()
+    }
+
+    /// Whether the session can be scheduled this step: a whole segment of
+    /// cubes is built and the result buffer has room.
     pub(crate) fn ready(&self, frames_per_segment: usize, result_capacity: usize) -> bool {
-        self.queue.len() >= frames_per_segment && self.results.len() < result_capacity
+        self.cubes.len() >= frames_per_segment && self.results.len() < result_capacity
     }
 }

@@ -244,6 +244,11 @@ impl ShardedServe {
     /// tombstones, micro-batched forward pass), so per-session results do
     /// not depend on the shard count.
     ///
+    /// Each shard runs under `lanes / shards` lanes (at least one), the
+    /// trainer's rule for a fan-out that fills the pool: with at least as
+    /// many shards as lanes, a shard's cube builds, GEMM row bands and mesh
+    /// fits run inline, and the shard steps are the step's only pool tasks.
+    ///
     /// # Errors
     ///
     /// Returns the lowest-indexed shard's error if any shard step failed;
@@ -251,10 +256,13 @@ impl ShardedServe {
     /// remains intact.
     pub fn step(&mut self) -> Result<ShardStepReport, ServeError> {
         let sp = telemetry::span("serve.shard.step");
+        let inner = (mmhand_parallel::num_threads() / self.shards.len()).max(1);
         mmhand_parallel::par_chunks_mut(&mut self.shards, 1, |_, cell| {
-            for c in cell {
-                c.report = Some(c.engine.step());
-            }
+            mmhand_parallel::with_thread_cap(inner, || {
+                for c in cell {
+                    c.report = Some(c.engine.step());
+                }
+            });
         });
         let mut agg = ShardStepReport {
             per_shard: Vec::with_capacity(self.shards.len()),

@@ -270,9 +270,12 @@ pub fn encode(msg: &WireMsg, out: &mut Vec<u8>) {
             put_u16(out, frame.rx_count() as u16);
             put_u16(out, frame.chirps_per_tx() as u16);
             put_u16(out, frame.samples_per_chirp() as u16);
-            for c in frame.data() {
-                out.extend_from_slice(&c.re.to_le_bytes());
-                out.extend_from_slice(&c.im.to_le_bytes());
+            // One resize, then each sample's 8 bytes in place.
+            let start = out.len();
+            out.resize(start + 8 * frame.data().len(), 0);
+            for (bytes, c) in out[start..].chunks_exact_mut(8).zip(frame.data()) {
+                bytes[..4].copy_from_slice(&c.re.to_le_bytes());
+                bytes[4..].copy_from_slice(&c.im.to_le_bytes());
             }
         }
         WireMsg::Poll { session } | WireMsg::Close { session } => put_u64(out, *session),
@@ -392,12 +395,16 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<WireMsg, WireError> {
                     value: payload.len() as u64,
                 });
             }
-            let mut data = Vec::with_capacity(total);
-            for _ in 0..total {
-                let re = r.f32("push sample re")?;
-                let im = r.f32("push sample im")?;
-                data.push(Complex::new(re, im));
-            }
+            let data: Vec<Complex> = r
+                .take(8 * total, "push samples")?
+                .chunks_exact(8)
+                .map(|b| {
+                    Complex::new(
+                        f32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+                        f32::from_le_bytes([b[4], b[5], b[6], b[7]]),
+                    )
+                })
+                .collect();
             let frame = RawFrame::from_parts(tx, rx, chirps, samples, data).map_err(|_| {
                 WireError::Malformed { what: "push frame geometry", value: total as u64 }
             })?;
@@ -601,6 +608,34 @@ mod tests {
             ..Default::default()
         });
         assert_bitwise_roundtrip(&WireMsg::Push { session: 11, frame });
+    }
+
+    #[test]
+    fn push_keeps_signed_zero_subnormal_and_nan_payload_bits() {
+        let specials = [
+            -0.0,
+            f32::from_bits(1),           // smallest positive subnormal
+            f32::from_bits(0x807F_FFFF), // largest negative subnormal
+            f32::from_bits(0x7FC0_1234), // quiet NaN with a payload
+            f32::from_bits(0xFF80_0001), // signalling NaN, sign set
+            f32::INFINITY,
+            f32::MIN_POSITIVE,
+        ];
+        let (tx, rx, chirps, samples) = (3, 4, 4, 8);
+        let data: Vec<Complex> = (0..tx * rx * chirps * samples)
+            .map(|k| Complex::new(specials[k % 7], specials[(k + 3) % 7]))
+            .collect();
+        let want: Vec<(u32, u32)> = data.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect();
+        let frame = RawFrame::from_parts(tx, rx, chirps, samples, data).expect("valid geometry");
+        match roundtrip(&WireMsg::Push { session: 5, frame }) {
+            WireMsg::Push { session, frame } => {
+                assert_eq!(session, 5);
+                let got: Vec<(u32, u32)> =
+                    frame.data().iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect();
+                assert_eq!(got, want, "every sample must keep its bits");
+            }
+            other => panic!("expected a Push, got {other:?}"),
+        }
     }
 
     #[test]
